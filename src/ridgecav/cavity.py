@@ -87,6 +87,12 @@ def finesse_from_round_trip(g_rt: float) -> float:
     return float(np.pi * np.sqrt(g_rt) / (1.0 - g_rt))
 
 
+def _g_from_finesse_closed_form(finesse):
+    """Invert F = pi sqrt(g)/(1 - g): sqrt(g) is the positive root of F x^2 + pi x - F."""
+    x = (-np.pi + np.sqrt(np.pi**2 + 4.0 * finesse**2)) / (2.0 * finesse)
+    return x * x
+
+
 def round_trip_amplitude(spec: CavitySpec) -> float:
     """g = sqrt(R_left R_right) exp(-alpha l) times the gap factor if present."""
     alpha_per_um = spec.alpha_per_cm * 1e-4
@@ -112,27 +118,11 @@ def linewidth_ghz(finesse: float, fsr_ghz: float) -> float:
     return fsr_ghz / finesse
 
 
-def _invert_finesse(finesse: float) -> float:
-    """Solve F = pi sqrt(g)/(1 - g) for g by bisection on the monotone branch."""
-    if finesse <= 0:
-        raise OutOfRange("finesse must be positive")
-    lo, hi = 1e-15, 1.0 - 1e-15
-    if finesse_from_round_trip(hi) < finesse:
-        raise NoSolution(f"finesse {finesse:g} implies g >= 1")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if finesse_from_round_trip(mid) < finesse:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def alpha_from_linewidth(width_2kappa_ghz: float, length_um: float,
                          n_group: float, mirror_R: float) -> float:
     """Propagation loss alpha (1/cm) implied by a measured linewidth.
 
-    Inverts linewidth -> finesse -> round-trip factor (bisection) and strips
+    Inverts linewidth -> finesse -> round-trip factor (closed form) and strips
     the mirror contribution: alpha = -ln(g / R) / l with both facets at
     mirror_R.
     """
@@ -142,7 +132,7 @@ def alpha_from_linewidth(width_2kappa_ghz: float, length_um: float,
         raise OutOfRange("mirror_R must be in (0, 1]")
     fsr = free_spectral_range_ghz(length_um, n_group)
     finesse = fsr / width_2kappa_ghz
-    g = _invert_finesse(finesse)
+    g = _g_from_finesse_closed_form(finesse)
     if g >= mirror_R:  # sqrt(R_L R_R) with both facets at mirror_R
         raise NoSolution(
             f"implied round-trip factor {g:.6g} is not below the mirror "
@@ -192,11 +182,6 @@ def _finesse_model(params, lengths_um):
     g = big_r * np.exp(-alpha_per_cm * 1e-4 * lengths_um)
     g = np.clip(g, 1e-12, 1.0 - 1e-12)
     return np.pi * np.sqrt(g) / (1.0 - g)
-
-
-def _g_from_finesse_closed_form(finesse):
-    x = (-np.pi + np.sqrt(np.pi**2 + 4.0 * finesse**2)) / (2.0 * finesse)
-    return x * x
 
 
 def fit_losses(data) -> FitResult:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import tempfile
@@ -27,8 +28,6 @@ from .cqed import full_budget
 from .errors import (
     ConfigError,
     FitDiverged,
-    GridTooSmall,
-    InsufficientData,
     NoGuidedMode,
     RidgecavError,
     SeriesNotConverged,
@@ -43,6 +42,14 @@ EXIT_VALIDATION = 2
 EXIT_NO_MODE = 3
 EXIT_CONVERGENCE = 4
 EXIT_FIT = 5
+
+# first match wins, so the specific errors come before the catch-all
+_EXIT_CODES = (
+    (NoGuidedMode, EXIT_NO_MODE),
+    (SeriesNotConverged, EXIT_CONVERGENCE),
+    (FitDiverged, EXIT_FIT),
+    ((RidgecavError, ValueError), EXIT_VALIDATION),
+)
 
 
 def _fmt(x) -> str:
@@ -83,8 +90,8 @@ def cmd_gap_scan(args) -> int:
     cfg = load_config(args.config)
     if not args.phase_scan:
         # validate the scan range before paying for the mode solve
-        if args.d_min < 0 or args.d_min >= args.d_max:
-            raise ConfigError(f"need 0 <= d_min < d_max, got [{args.d_min}, {args.d_max}]")
+        if not 0 <= args.d_min < args.d_max < math.inf:
+            raise ConfigError(f"need 0 <= d_min < d_max < inf, got [{args.d_min}, {args.d_max}]")
         if args.steps < 2:
             raise ConfigError(f"need at least 2 steps, got {args.steps}")
     mode = _solve_mode(cfg)
@@ -281,24 +288,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (RidgecavError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (GridTooSmall, InsufficientData, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NoGuidedMode as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_MODE
-    except SeriesNotConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except FitDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIT
-    except RidgecavError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -18,6 +18,10 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _cell_centres(n: int, step: float) -> np.ndarray:
+    return (np.arange(n) - n / 2 + 0.5) * step
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform sampling grid: counts and physical window extents (um)."""
@@ -43,10 +47,10 @@ class GridSpec:
         return self.window_y_um / self.ny
 
     def x_coords_um(self) -> np.ndarray:
-        return (np.arange(self.nx) - self.nx / 2 + 0.5) * self.dx_um
+        return _cell_centres(self.nx, self.dx_um)
 
     def y_coords_um(self) -> np.ndarray:
-        return (np.arange(self.ny) - self.ny / 2 + 0.5) * self.dy_um
+        return _cell_centres(self.ny, self.dy_um)
 
 
 @dataclass(frozen=True)
@@ -108,10 +112,10 @@ class SampledField:
         return replace(self, amplitudes=np.asarray(amplitudes, dtype=complex))
 
     def x_coords_um(self) -> np.ndarray:
-        return (np.arange(self.nx) - self.nx / 2 + 0.5) * self.dx_um
+        return _cell_centres(self.nx, self.dx_um)
 
     def y_coords_um(self) -> np.ndarray:
-        return (np.arange(self.ny) - self.ny / 2 + 0.5) * self.dy_um
+        return _cell_centres(self.ny, self.dy_um)
 
     def same_grid_as(self, other: "SampledField") -> bool:
         return (

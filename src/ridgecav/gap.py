@@ -12,10 +12,13 @@ through-product is 1 - r^2):
     r_gap = r - (1 - r^2) * sum_p r^(2p+1) * Q((2p+2) d) ,
 
 where the sign difference comes from the air-side reflections being -r.
-Each Q carries the full propagation phase exp(i k_z L) with k = 2 pi/lambda
-(the gap medium is air), so the etalon resonances fall at gap widths of an
-integer number of half wavelengths, slightly shifted by the diffraction
-(Gouy) phase of the mode.
+Every gap quantity is built from one ladder Q(k d), k = 0..2N, with N the
+number of series terms.  Each public function that needs Q makes exactly
+one projection_after_propagation call (one FFT of the mode), whether for
+one width or for a whole width scan.  Each Q carries the full propagation
+phase exp(i k_z L) with k = 2 pi/lambda (the gap medium is air), so the
+etalon resonances fall at gap widths of an integer number of half
+wavelengths, slightly shifted by the diffraction (Gouy) phase of the mode.
 
 `brute_force_gap_scattering` is an independent check: it literally bounces
 the field back and forth with propagate_free_space and accumulates the
@@ -24,7 +27,8 @@ coupled amplitudes interface by interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +47,9 @@ class GapConfig:
     p_max: int = 64
 
     def __post_init__(self):
+        for name in ("d_um", "n_interface", "series_tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.d_um < 0:
             raise ValueError("gap width must be >= 0")
         if self.n_interface < 1:
@@ -112,48 +119,55 @@ def _num_terms(cfg: GapConfig) -> int:
     return p
 
 
-def _series_amplitudes(mode, cfg: GapConfig):
-    """(r_amplitude, t_amplitude, q_pairs) of the multiple-reflection series."""
-    f = _as_field(mode)
+def _ladder(mode, cfg: GapConfig, d_um) -> np.ndarray:
+    """Q(k d) for k = 0..2N, N series terms; one row per width if d_um is an array."""
+    k = np.arange(2 * _num_terms(cfg) + 1)
+    return projection_after_propagation(_as_field(mode), np.multiply.outer(d_um, k))
+
+
+def _series(ladder: np.ndarray, cfg: GapConfig):
+    """Sum the multiple-reflection series over one ladder Q(k d), k = 0..2N.
+
+    Returns the GapResult and the bounce sums S_j = sum_p r^(2p) Q((2p+j) d)
+    for j = 0, 1, 2 (t_gap uses S_1, r_gap S_2, field_enhancement all three).
+    """
     r, _ = fresnel_interface(cfg.n_interface)
     s2 = 1.0 - r * r
-    n_terms = _num_terms(cfg)
-    p = np.arange(n_terms)
-    d = cfg.d_um
-    q_plus = projection_after_propagation(f, (2 * p + 1) * d)
-    q_minus = projection_after_propagation(f, (2 * p + 2) * d)
-    weights = r ** (2 * p)
-    t_amp = s2 * np.sum(weights * q_plus)
-    r_amp = r - s2 * r * np.sum(weights * q_minus)
-    return complex(r_amp), complex(t_amp), tuple(zip(q_plus, q_minus))
-
-
-def gap_scattering(mode, cfg: GapConfig) -> GapResult:
-    """Sum the coherent multiple-reflection series for one gap width."""
-    r_amp, t_amp, q_pairs = _series_amplitudes(mode, cfg)
+    n_terms = len(ladder) // 2
+    weights = r ** (2 * np.arange(n_terms))
+    sums = [np.sum(weights * ladder[j:j + 2 * n_terms:2]) for j in range(3)]
+    t_amp = complex(s2 * sums[1])
+    r_amp = complex(r - s2 * r * sums[2])
     R = abs(r_amp) ** 2
     T = abs(t_amp) ** 2
-    return GapResult(
+    result = GapResult(
         R=R,
         T=T,
         loss=1.0 - R - T,
         r_amplitude=r_amp,
         t_amplitude=t_amp,
-        q_list=q_pairs,
+        q_list=tuple(zip(ladder[1::2], ladder[2::2])),
     )
+    return result, sums
+
+
+def gap_scattering(mode, cfg: GapConfig) -> GapResult:
+    """Sum the coherent multiple-reflection series for one gap width."""
+    return _series(_ladder(mode, cfg, cfg.d_um), cfg)[0]
 
 
 def loss_spectrum(mode, d_min_um: float, d_max_um: float, steps: int,
                   base_cfg: GapConfig | None = None):
     """gap_scattering on a uniform width grid; rows of (d, R, T, loss)."""
-    if d_min_um < 0 or d_min_um >= d_max_um:
-        raise ValueError("need 0 <= d_min < d_max")
+    if not 0 <= d_min_um < d_max_um < math.inf:
+        raise ValueError("need 0 <= d_min < d_max < inf")
     if steps < 2:
         raise ValueError("need at least 2 steps")
-    base = base_cfg if base_cfg is not None else GapConfig()
+    cfg = base_cfg if base_cfg is not None else GapConfig()
+    widths = np.linspace(d_min_um, d_max_um, steps)
     rows = []
-    for d in np.linspace(d_min_um, d_max_um, steps):
-        res = gap_scattering(mode, replace(base, d_um=float(d)))
+    for d, ladder in zip(widths, _ladder(mode, cfg, widths)):
+        res = _series(ladder, cfg)[0]
         rows.append((float(d), res.R, res.T, res.loss))
     return rows
 
@@ -192,6 +206,14 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int | None = Non
     )
 
 
+def _round_trip(gap: GapResult, arm_phase_rad):
+    """composite_round_trip's r_rt for a scalar or an array of arm phases."""
+    phase = np.exp(1j * arm_phase_rad)
+    return np.abs(
+        gap.r_amplitude + gap.t_amplitude**2 * phase / (1.0 - gap.r_amplitude * phase)
+    )
+
+
 def composite_round_trip(mode, cfg: GapConfig, arm_phase_rad: float,
                          gap: GapResult | None = None) -> float:
     """Round-trip amplitude of gap + guide arm + perfect end mirror.
@@ -206,17 +228,13 @@ def composite_round_trip(mode, cfg: GapConfig, arm_phase_rad: float,
     every phase.
     """
     g = gap if gap is not None else gap_scattering(mode, cfg)
-    phase = np.exp(1j * arm_phase_rad)
-    amp = g.r_amplitude + g.t_amplitude**2 * phase / (1.0 - g.r_amplitude * phase)
-    return float(abs(amp))
+    return float(_round_trip(g, arm_phase_rad))
 
 
 def round_trip_phase_scan(mode, cfg: GapConfig, n_phases: int = 720):
     """(phases, r_rt) arrays over arm_phase in [0, 2 pi)."""
-    g = gap_scattering(mode, cfg)
     phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
-    rrt = np.array([composite_round_trip(mode, cfg, p, gap=g) for p in phases])
-    return phases, rrt
+    return phases, _round_trip(gap_scattering(mode, cfg), phases)
 
 
 def field_enhancement(mode, cfg: GapConfig, arm_phase_rad: float) -> float:
@@ -229,31 +247,15 @@ def field_enhancement(mode, cfg: GapConfig, arm_phase_rad: float) -> float:
 
         ratio = sqrt(n) (|G+| + |G-|) / (1 + r_rt).
     """
-    f = _as_field(mode)
+    gres, (sum0, sum1, sum2) = _series(_ladder(mode, cfg, cfg.d_um), cfg)
     r, _ = fresnel_interface(cfg.n_interface)
     s = np.sqrt(1.0 - r * r)
-    n_terms = _num_terms(cfg)
-    p = np.arange(n_terms)
-    d = cfg.d_um
-    weights = r ** (2 * p)
-
-    q_even0 = projection_after_propagation(f, 2 * p * d)        # Q(0), Q(2d), ...
-    q_odd = projection_after_propagation(f, (2 * p + 1) * d)
-    q_even = projection_after_propagation(f, (2 * p + 2) * d)
-
-    gres = gap_scattering(mode, cfg)
     phase = np.exp(1j * arm_phase_rad)
-    b = phase * gres.t_amplitude / (1.0 - gres.r_amplitude * phase)
-    r_rt = abs(
-        gres.r_amplitude
-        + gres.t_amplitude**2 * phase / (1.0 - gres.r_amplitude * phase)
-    )
+    b = phase * gres.t_amplitude / (1.0 - gres.r_amplitude * phase)  # arm-side injection
+    r_rt = _round_trip(gres, arm_phase_rad)
 
-    sum_fwd_a = np.sum(weights * q_even0)    # input-side forward bounces
-    sum_bwd_a = -r * np.sum(weights * q_even)
-    sum_bwd_b = np.sum(weights * q_odd)      # arm-side injection
-    g_fwd = s * (sum_fwd_a + b * (-r) * sum_bwd_b)
-    g_bwd = s * (sum_bwd_a + b * sum_bwd_b)
+    g_fwd = s * (sum0 + b * (-r) * sum1)
+    g_bwd = s * (-r * sum2 + b * sum1)
 
     return float(
         np.sqrt(cfg.n_interface) * (abs(g_fwd) + abs(g_bwd)) / (1.0 + r_rt)

@@ -9,6 +9,8 @@ part of the transfer function exactly unitary.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NegativeDistance, ZeroField
@@ -62,9 +64,15 @@ def projection_after_propagation(f: SampledField, distances_um) -> np.ndarray:
         sum_k |F(k)|^2 exp(i k_z d) / sum_k |F(k)|^2,
 
     with evanescent components dropped exactly as propagate_free_space does.
-    One FFT serves all distances, which makes long scans cheap.  Unlike
-    `overlap`, the propagated field is not re-normalized, so power removed
-    with the evanescent components stays removed.
+    One FFT serves all distances, which makes long scans cheap.  Plane-wave
+    samples that share a k_z (kx^2 + ky^2 is degenerate on the lattice)
+    propagate identically, so their weights are merged first.  distances_um
+    may have any shape and the result has that shape (a scalar gives a
+    one-element array).  The phase matrix exp(i k_z d) is formed for one
+    row of distances (along the last axis) at a time, which bounds its
+    memory by one row.  Unlike `overlap`, the propagated field is not
+    re-normalized, so power removed with the evanescent components stays
+    removed.
     """
     distances = np.atleast_1d(np.asarray(distances_um, dtype=float))
     if np.any(distances < 0):
@@ -74,7 +82,8 @@ def projection_after_propagation(f: SampledField, distances_um) -> np.ndarray:
     total = weights.sum()
     if total == 0.0:
         raise ZeroField("projection of a zero field is undefined")
-    w = weights[mask]
-    kzm = kz[mask]
-    out = np.array([np.sum(w * np.exp(1j * kzm * d)) for d in distances]) / total
-    return out
+    kz_distinct, which = np.unique(kz[mask], return_inverse=True)
+    w = np.bincount(which, weights=weights[mask]) / total
+    rows = distances.reshape(math.prod(distances.shape[:-1]), distances.shape[-1])
+    out = np.array([np.exp(1j * np.outer(row, kz_distinct)) @ w for row in rows])
+    return out.reshape(distances.shape)

@@ -151,6 +151,9 @@ def test_cli_gap_scan_rejects_bad_range(tmp_path, capsys):
     code, _, err = run_cli(capsys, "gap-scan", cfg, "--d-min", "2.0", "--d-max", "1.0")
     assert code == 2
     assert "d_min" in err
+    code, _, err = run_cli(capsys, "gap-scan", cfg, "--d-max", "inf")
+    assert code == 2
+    assert "d_min" in err
 
 
 def test_cli_phase_scan(tmp_path, capsys):
@@ -166,6 +169,26 @@ def test_cli_phase_scan(tmp_path, capsys):
     assert len(rrt) == 180
     assert rrt.max() >= 0.99
     assert rrt.min() < rrt.max()
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_cli_phase_scan_rejects_non_finite_gap_width(tmp_path, capsys, bad):
+    cfg = write_config(tmp_path, BASE_WAVEGUIDE + f"\n[gap]\nd_um = {bad}\n")
+    code, out, err = run_cli(capsys, "gap-scan", cfg, "--phase-scan", "--out", str(tmp_path))
+    assert code == 2
+    assert "d_um" in err
+    assert out == ""
+    assert not (tmp_path / "phase_scan.csv").exists()
+
+
+def test_cli_series_not_converged_exit_code(tmp_path, capsys):
+    text = BASE_WAVEGUIDE + "\n[gap]\np_max = 3\nseries_tolerance = 1e-10\n"
+    code, out, err = run_cli(
+        capsys, "gap-scan", write_config(tmp_path, text), "--phase-scan", "--out", str(tmp_path)
+    )
+    assert code == 4
+    assert "p_max=3" in err
+    assert out == ""
 
 
 def test_cli_fit_recovers_reference_parameters(tmp_path, capsys):

@@ -108,6 +108,15 @@ def test_wider_mode_diffracts_less():
     assert gap_scattering(wide, cfg).loss < gap_scattering(narrow, cfg).loss
 
 
+def test_loss_spectrum_rows_match_gap_scattering(ridge_mode):
+    # the batched width scan must give what one call per width gives
+    for d, R, T, loss in loss_spectrum(ridge_mode, 0.3, 3.0, 9):
+        res = gap_scattering(ridge_mode, GapConfig(d_um=d))
+        assert abs(R - res.R) < 1e-12
+        assert abs(T - res.T) < 1e-12
+        assert abs(loss - res.loss) < 1e-12
+
+
 def test_degenerate_scan_range_rejected(ridge_mode):
     with pytest.raises(ValueError):
         loss_spectrum(ridge_mode, 1.0, 1.0, 10)
@@ -115,6 +124,8 @@ def test_degenerate_scan_range_rejected(ridge_mode):
         loss_spectrum(ridge_mode, 2.0, 1.0, 10)
     with pytest.raises(ValueError):
         loss_spectrum(ridge_mode, 0.5, 1.0, 1)
+    with pytest.raises(ValueError):
+        loss_spectrum(ridge_mode, 0.5, np.inf, 10)
 
 
 def test_series_truncation_guard(ridge_mode):
@@ -153,7 +164,12 @@ def test_composite_no_gap_perfect_mirror():
 
 
 def test_composite_phase_scan_structure(ridge_mode):
-    phases, rrt = round_trip_phase_scan(ridge_mode, GapConfig(d_um=1.96), 720)
+    cfg = GapConfig(d_um=1.96)
+    phases, rrt = round_trip_phase_scan(ridge_mode, cfg, 720)
+    gap = gap_scattering(ridge_mode, cfg)
+    for phase, value in zip(phases, rrt):
+        assert abs(value - composite_round_trip(ridge_mode, cfg, phase, gap=gap)) < 1e-12
+    assert abs(rrt[1] - composite_round_trip(ridge_mode, cfg, phases[1])) < 1e-12
     assert np.all(rrt <= 1.0 + 1e-9)
     assert rrt.max() >= 0.99  # destructive arm phase suppresses the gap field
     assert rrt.min() < rrt.max() - 0.05
@@ -197,6 +213,10 @@ def test_enhancement_lossless_resonant_closed_form():
 def test_gap_config_validation():
     with pytest.raises(ValueError):
         GapConfig(d_um=-1.0)
+    for bad in (np.inf, np.nan):
+        for key in ("d_um", "n_interface", "series_tolerance"):
+            with pytest.raises(ValueError, match="finite"):
+                GapConfig(**{key: bad})
     with pytest.raises(InvalidIndex):
         GapConfig(n_interface=0.9)
     with pytest.raises(ValueError):

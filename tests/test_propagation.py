@@ -126,3 +126,12 @@ def test_spectral_projection_equals_propagate_then_project(ridge_mode):
         literal = np.sum(np.conj(f.amplitudes) * propagated.amplitudes) * cell
         literal /= f.power()
         assert direct == pytest.approx(literal, abs=1e-12)
+
+
+def test_distance_array_rows_match_one_dimensional_calls(ridge_mode):
+    f = ridge_mode.field
+    distances = np.array([[0.0, 1.96, 3.92, 5.88], [0.5, 7.3, 2.0, 40.0]])
+    batched = projection_after_propagation(f, distances)
+    assert batched.shape == distances.shape
+    for q_row, d_row in zip(batched, distances):
+        assert np.max(np.abs(q_row - projection_after_propagation(f, d_row))) < 1e-12
