@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import C_M_PER_S
 from .errors import FitDiverged, InsufficientData, NoSolution, OutOfRange
@@ -193,6 +192,10 @@ def fit_losses(data) -> FitResult:
     alpha = 0, alpha from the two extreme lengths), then a damped
     least-squares refinement with relative step tolerance 1e-10.
     """
+    # imported here, not at module level: scipy.optimize is slow to import
+    # and only the fit needs it, so the other commands skip it
+    from scipy.optimize import least_squares
+
     rows = [tuple(map(float, row)) for row in data]
     if len(rows) < 3:
         raise InsufficientData(f"need >= 3 data points, got {len(rows)}")

@@ -7,6 +7,7 @@ on the window edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +36,9 @@ class GridSpec:
         for name, n in (("nx", self.nx), ("ny", self.ny)):
             if n < 16 or not _is_pow2(n):
                 raise ValueError(f"{name} must be a power of two >= 16, got {n}")
+        for name in ("window_x_um", "window_y_um"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.window_x_um <= 0 or self.window_y_um <= 0:
             raise ValueError("window extents must be positive")
 
@@ -139,15 +143,12 @@ class SampledField:
 
 def field_to_csv_rows(f: SampledField):
     """Yield CSV lines `x_um,y_um,re,im`, row-major (x outer, y inner)."""
-    xs = f.x_coords_um()
-    ys = f.y_coords_um()
+    xs = [f"{x:.6g}" for x in f.x_coords_um()]
+    ys = [f"{y:.6g}" for y in f.y_coords_um()]
     yield "x_um,y_um,re,im"
-    for i in range(f.nx):
-        for j in range(f.ny):
-            a = f.amplitudes[i, j]
-            yield (
-                f"{xs[i]:.6g},{ys[j]:.6g},{a.real:.6g},{a.imag:.6g}"
-            )
+    for x, re_row, im_row in zip(xs, f.amplitudes.real.tolist(), f.amplitudes.imag.tolist()):
+        for y, re, im in zip(ys, re_row, im_row):
+            yield f"{x},{y},{re:.6g},{im:.6g}"
 
 
 def save_field_csv(f: SampledField, path) -> None:

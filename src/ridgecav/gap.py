@@ -21,8 +21,9 @@ etalon resonances fall at gap widths of an integer number of half
 wavelengths, slightly shifted by the diffraction (Gouy) phase of the mode.
 
 `brute_force_gap_scattering` is an independent check: it literally bounces
-the field back and forth with propagate_free_space and accumulates the
-coupled amplitudes interface by interface.
+the field back and forth with the angular-spectrum transfer function of
+propagate_free_space and accumulates the coupled amplitudes interface by
+interface.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidIndex, SeriesNotConverged
 from .fields import SampledField
-from .propagation import projection_after_propagation, propagate_free_space
+from .propagation import _transfer_function, projection_after_propagation
 
 
 @dataclass(frozen=True)
@@ -178,27 +179,28 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int | None = Non
     Cross-check for gap_scattering: the field is propagated segment by
     segment, the mode-coupled amplitude is collected at each interface hit,
     and the remainder re-enters the gap with the air-side reflection -r.
+    Every segment has the same length, so one transfer function serves all
+    of them; each still takes its own FFT pair and real-space overlap.
     """
     f = _as_field(mode).normalized()
     r, _ = fresnel_interface(cfg.n_interface)
     s = np.sqrt(1.0 - r * r)
     n_bounces = cfg.p_max if n_bounces is None else n_bounces
-    cell = f.cell_area_um2
+    transfer = _transfer_function(f, cfg.d_um)
 
-    def coupled(g: SampledField) -> complex:
-        return complex(np.sum(np.conj(f.amplitudes) * g.amplitudes) * cell)
+    def crossing(amps: np.ndarray) -> np.ndarray:
+        return np.fft.ifft2(np.fft.fft2(amps) * transfer)
 
     t_amp = 0.0 + 0.0j
     r_amp = complex(r)
-    current = propagate_free_space(f.with_amplitudes(s * f.amplitudes), cfg.d_um)
+    current = crossing(s * f.amplitudes)
     for bounce in range(n_bounces):
+        coupled = complex(np.vdot(f.amplitudes, current) * f.cell_area_um2)
         if bounce % 2 == 0:  # at the far interface: couples out forward
-            t_amp += s * coupled(current)
+            t_amp += s * coupled
         else:  # back at the input interface: couples out backward
-            r_amp += s * coupled(current)
-        current = propagate_free_space(
-            current.with_amplitudes(-r * current.amplitudes), cfg.d_um
-        )
+            r_amp += s * coupled
+        current = crossing(-r * current)
     R = abs(r_amp) ** 2
     T = abs(t_amp) ** 2
     return GapResult(

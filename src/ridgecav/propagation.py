@@ -34,14 +34,18 @@ def _kz_and_mask(f: SampledField):
     return kz, mask
 
 
-def propagate_free_space(f: SampledField, distance_um: float) -> SampledField:
-    """Propagate the field a distance d >= 0 through its homogeneous medium."""
+def _transfer_function(f: SampledField, distance_um: float) -> np.ndarray:
+    """exp(i k_z d) on the propagating components, 0 on the evanescent ones."""
     if distance_um < 0:
         raise NegativeDistance(f"propagation distance must be >= 0, got {distance_um}")
     kz, mask = _kz_and_mask(f)
-    spectrum = np.fft.fft2(f.amplitudes)
-    spectrum = np.where(mask, spectrum * np.exp(1j * kz * distance_um), 0.0)
-    return f.with_amplitudes(np.fft.ifft2(spectrum))
+    return np.where(mask, np.exp(1j * kz * distance_um), 0.0)
+
+
+def propagate_free_space(f: SampledField, distance_um: float) -> SampledField:
+    """Propagate the field a distance d >= 0 through its homogeneous medium."""
+    transfer = _transfer_function(f, distance_um)
+    return f.with_amplitudes(np.fft.ifft2(np.fft.fft2(f.amplitudes) * transfer))
 
 
 def overlap(a: SampledField, b: SampledField) -> complex:

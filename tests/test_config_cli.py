@@ -1,6 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ridgecav
 from ridgecav import ConfigError, load_field_csv
 from ridgecav.cli import main
 from ridgecav.config import load_config
@@ -108,6 +114,36 @@ def test_cli_mode_missing_key(tmp_path, capsys):
     code, _, err = run_cli(capsys, "mode", cfg, "--out", str(tmp_path))
     assert code == 2
     assert "n_core" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("key, text", [
+    pytest.param("ridge_width_um",
+                 BASE_WAVEGUIDE.replace("ridge_width_um = 4.0", "ridge_width_um = {bad}"),
+                 id="ridge_width_um"),
+    pytest.param("window_x_um", BASE_WAVEGUIDE + "\n[grid]\nwindow_x_um = {bad}\n",
+                 id="window_x_um"),
+])
+def test_cli_mode_rejects_non_finite_geometry(tmp_path, capsys, key, text, bad):
+    cfg = write_config(tmp_path, text.format(bad=bad))
+    code, out, err = run_cli(capsys, "mode", cfg, "--out", str(tmp_path))
+    assert code == 2
+    assert key in err
+    assert out == ""
+    assert not (tmp_path / "mode_field.csv").exists()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only `fit` needs scipy.optimize, so the other commands skip its import
+    src = pathlib.Path(ridgecav.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ridgecav.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_mode_zero_contrast(tmp_path, capsys):

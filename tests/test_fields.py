@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ridgecav import GridSpec, SampledField, ZeroField, load_field_csv, save_field_csv
+from ridgecav.fields import field_to_csv_rows
 
 
 def test_gridspec_rejects_non_power_of_two():
@@ -11,6 +12,10 @@ def test_gridspec_rejects_non_power_of_two():
         GridSpec(nx=8, ny=128)  # below the minimum of 16
     with pytest.raises(ValueError):
         GridSpec(window_x_um=-1.0)
+    for name in ("window_x_um", "window_y_um"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                GridSpec(**{name: bad})
 
 
 def test_grid_coordinates_are_cell_centered():
@@ -55,3 +60,20 @@ def test_csv_round_trip(tmp_path):
     assert g.dy_um == pytest.approx(f.dy_um)
     # 6 significant digits in the file bound the round-trip error
     assert np.allclose(g.amplitudes, f.amplitudes, atol=1e-5, rtol=1e-5)
+
+
+def test_csv_rows_match_per_sample_formatting():
+    amps = np.array([
+        [complex(-0.0, -0.0), 1e-19 - 3.2e-19j, 123456.789 + 1e5j],
+        [-1.5e-7 - 0.0j, 0.1234567 + 9.999995e5j, -2.5e5 + 1e-20j],
+    ])
+    f = SampledField(amps, dx_um=0.3, dy_um=0.7, wavelength_nm=780.0)
+    xs, ys = f.x_coords_um(), f.y_coords_um()
+    expected = ["x_um,y_um,re,im"] + [
+        f"{xs[i]:.6g},{ys[j]:.6g},{amps[i, j].real:.6g},{amps[i, j].imag:.6g}"
+        for i in range(f.nx)
+        for j in range(f.ny)
+    ]
+    rows = list(field_to_csv_rows(f))
+    assert rows == expected
+    assert rows[1] == "-0.15,-0.7,-0,-0"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ridgecav import (
     GridSpec,
@@ -13,6 +15,7 @@ from ridgecav import (
     mode_area,
     solve_fundamental_mode,
 )
+from ridgecav.waveguide import permittivity_map
 from conftest import GRID, RIDGE
 
 
@@ -82,6 +85,59 @@ def test_n_eff_monotone_in_ridge_width():
     # narrow enough and the lateral squeeze pushes n_eff below the slab line
     with pytest.raises(NoGuidedMode):
         solve_fundamental_mode(WaveguideGeometry(ridge_width_um=1.0), grid)
+
+
+@pytest.mark.parametrize("width_um", [4.0, 3.3, 4.03125, 2.71])
+def test_permittivity_map_is_mirror_symmetric(width_um):
+    # 4.03125 um is 43 cells of the 256^2 grid, so both ridge edges fall
+    # mid-cell and those cells are partly covered
+    eps = permittivity_map(WaveguideGeometry(ridge_width_um=width_um), GRID)
+    assert np.array_equal(eps, eps[::-1])
+
+
+def test_solved_mode_is_exactly_even(ridge_mode):
+    amps = ridge_mode.field.amplitudes
+    assert np.array_equal(amps, amps[::-1])
+
+
+def _full_window_mode(geometry, grid):
+    """Top eigenpair of the five-point operator on the whole window, no mirror fold.
+
+    The eigenvector is scaled to unit power with its largest sample positive.
+    """
+    eps = permittivity_map(geometry, grid)
+    nx, ny = eps.shape
+    n = nx * ny
+    dx, dy, k0 = grid.dx_um, grid.dy_um, geometry.k0_per_um
+    off_x = np.full(n - ny, 1.0 / dx**2)
+    off_y = np.full(n, 1.0 / dy**2)
+    off_y[ny - 1 :: ny] = 0.0
+    A = sp.diags(
+        [-2.0 / dx**2 - 2.0 / dy**2 + k0**2 * eps.ravel(), off_x, off_x,
+         off_y[: n - 1], off_y[: n - 1]],
+        [0, ny, -ny, 1, -1],
+        format="csc",
+    )
+    vals, vecs = spla.eigsh(A, k=1, sigma=(k0 * geometry.n_core) ** 2, which="LM",
+                            v0=np.ones(n))
+    v = vecs[:, 0].reshape(nx, ny)
+    v = v * np.sign(v.flat[np.argmax(np.abs(v))])
+    return vals[0], v / np.sqrt(np.sum(v**2) * dx * dy)
+
+
+def test_half_window_solve_matches_full_window_operator():
+    grid = GridSpec(nx=128, ny=128, window_x_um=24.0, window_y_um=24.0)
+    mode = solve_fundamental_mode(RIDGE, grid)
+    beta_sq, full = _full_window_mode(RIDGE, grid)
+    assert (mode.n_eff * RIDGE.k0_per_um) ** 2 == pytest.approx(beta_sq, rel=1e-12)
+    amps = mode.field.amplitudes
+    assert np.abs(amps.imag).max() == 0.0
+    assert np.abs(amps.real - full).max() <= 1e-10 * np.abs(full).max()
+
+
+def test_reference_mode_is_pinned(ridge_mode):
+    assert ridge_mode.n_eff == pytest.approx(3.152382061786859, rel=1e-12)
+    assert ridge_mode.mode_area_um2 == pytest.approx(8.31708521973378, rel=1e-12)
 
 
 def test_grid_doubling_convergence(ridge_mode):
@@ -169,3 +225,9 @@ def test_geometry_validation():
         WaveguideGeometry(ridge_width_um=-1.0)
     with pytest.raises(ValueError):
         WaveguideGeometry(core_thickness_um=5.0, ridge_height_um=4.0)
+    for name in ("ridge_width_um", "ridge_height_um", "core_thickness_um",
+                 "cladding_thickness_um", "n_core", "n_clad", "n_exterior",
+                 "wavelength_nm"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                WaveguideGeometry(**{name: bad})
