@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import C_M_PER_S
-from .errors import FitDiverged, InsufficientData, NoSolution, OutOfRange
+from .errors import FitDiverged, InsufficientData, NoSolution, OutOfRange, require_finite
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class CavitySpec:
     gap_round_trip_amplitude: float | None = None
 
     def __post_init__(self):
+        require_finite(self)
         if self.length_um <= 0:
             raise ValueError("length_um must be positive")
         if self.n_group <= 0:
@@ -199,6 +200,8 @@ def fit_losses(data) -> FitResult:
     rows = [tuple(map(float, row)) for row in data]
     if len(rows) < 3:
         raise InsufficientData(f"need >= 3 data points, got {len(rows)}")
+    if not np.all(np.isfinite([v for row in rows for v in row])):
+        raise InsufficientData("lengths, finesses and sigmas must be finite")
     lengths = np.array([r[0] for r in rows])
     finesses = np.array([r[1] for r in rows])
     if len(set(lengths.tolist())) < 2:

@@ -16,12 +16,7 @@ import os
 import sys
 import tempfile
 
-from .cavity import (
-    CavitySpec,
-    fit_losses,
-    quarter_wave_stack,
-    stack_reflectivity,
-)
+from .cavity import fit_losses, quarter_wave_stack, stack_reflectivity
 from .config import ProjectConfig, load_config
 from .constants import KB_J_PER_K
 from .cqed import full_budget
@@ -180,16 +175,7 @@ def cmd_budget(args) -> int:
     else:
         _, rrt = round_trip_phase_scan(mode, cfg.gap, n_phases=budget_cfg.phase_samples)
         gap_amp = float(rrt.min())  # constructive in-gap interference
-
-    spec = CavitySpec(
-        length_um=cfg.cavity.length_um,
-        n_group=cfg.cavity.n_group,
-        alpha_per_cm=cfg.cavity.alpha_per_cm,
-        mirror_R_left=cfg.cavity.mirror_R_left,
-        mirror_R_right=cfg.cavity.mirror_R_right,
-        gap_round_trip_amplitude=gap_amp,
-    )
-    budget = full_budget(area, spec, None, cfg.atom, budget_cfg.enhancement)
+    budget = full_budget(area, cfg.cavity, gap_amp, cfg.atom, budget_cfg.enhancement)
 
     for pairs in sorted({3, 6, cfg.mirror.pairs}):
         stack = quarter_wave_stack(
@@ -219,7 +205,9 @@ def cmd_budget(args) -> int:
 
 def cmd_trap(args) -> int:
     cfg = load_config(args.config)
-    trap_cfg = cfg.trap_config()
+    trap_cfg = cfg.trap
+    if trap_cfg is None:
+        raise ConfigError("trap.c4_J_m4 is required for trap calculations")
     z_um, u_J = potential_profile(trap_cfg)
     lines = ["z_um,U_J,U_uK"]
     lines += [

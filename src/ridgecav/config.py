@@ -10,96 +10,73 @@ Example::
     n_clad = 3.145
     wavelength_nm = 780.0
 
-Unknown blocks or keys are rejected, every value is validated before any
-computation runs, and physical quantities carry their unit in the key name.
+Each block is the frozen dataclass that validates it (`_BLOCKS`): its keys
+are the dataclass fields, a key parses as int where the field is typed int
+and as float otherwise, and an omitted key takes the field's default.  The
+file departs from the dataclasses in three places only:
+
+- the six geometry and index keys of `[waveguide]` are required;
+- `[cavity]` defaults to the reference 300 um cavity (`_FILE_DEFAULTS`);
+- `gap_round_trip_amplitude` is computed by the gap model, never read.
+
+`[trap]` is built only when it gives `c4_J_m4` (there is no universal wall
+coefficient); otherwise `ProjectConfig.trap` is None.  Unknown blocks or
+keys are rejected, every value is validated before any computation runs,
+and physical quantities carry their unit in the key name.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .cavity import CavitySpec
 from .cqed import AtomParams
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .fields import GridSpec
 from .gap import GapConfig
 from .trap import TrapConfig
 from .waveguide import WaveguideGeometry
 
-# schema: block -> key -> (type, default); _REQUIRED means no default
-_REQUIRED = object()
-
-_SCHEMA = {
-    "waveguide": {
-        "ridge_width_um": (float, _REQUIRED),
-        "ridge_height_um": (float, _REQUIRED),
-        "core_thickness_um": (float, _REQUIRED),
-        "cladding_thickness_um": (float, 4.0),
-        "n_core": (float, _REQUIRED),
-        "n_clad": (float, _REQUIRED),
-        "n_exterior": (float, 1.0),
-        "wavelength_nm": (float, _REQUIRED),
-    },
-    "grid": {
-        "nx": (int, 256),
-        "ny": (int, 256),
-        "window_x_um": (float, 24.0),
-        "window_y_um": (float, 24.0),
-    },
-    "gap": {
-        "d_um": (float, 1.96),
-        "n_interface": (float, 3.155),
-        "series_tolerance": (float, 1e-8),
-        "p_max": (int, 64),
-    },
-    "mirror": {
-        "n_high": (float, 2.35),
-        "n_low": (float, 1.50),
-        "pairs": (int, 3),
-    },
-    "cavity": {
-        "length_um": (float, 300.0),
-        "n_group": (float, 3.50),
-        "alpha_per_cm": (float, 1.03),
-        "mirror_R_left": (float, 1.0),
-        "mirror_R_right": (float, 1.0),
-    },
-    "atom": {
-        "dipole_Cm": (float, 3.584e-29),
-        "gamma_half_MHz": (float, 3.0),
-        "transition_wavelength_nm": (float, 780.0),
-        "mass_kg": (float, 1.44316e-25),
-    },
-    "trap": {
-        "omega_trap_2pi_kHz": (float, 9.0),
-        "atom_mass_kg": (float, 1.44316e-25),
-        "c4_J_m4": (float, None),  # no silent default; trap runs require it
-        "gap_width_um": (float, 2.0),
-        "z_samples": (int, 201),
-    },
-    "budget": {
-        "mode_area_um2": (float, None),   # solve the mode when absent
-        "gap_amplitude": (float, None),   # compute from the gap model when absent
-        "enhancement": (float, 1.0),
-        "phase_samples": (int, 360),
-    },
-}
-
 
 @dataclass(frozen=True)
 class MirrorSettings:
-    n_high: float
-    n_low: float
-    pairs: int
+    n_high: float = 2.35
+    n_low: float = 1.50
+    pairs: int = 3
+
+    def __post_init__(self):
+        require_finite(self)
 
 
 @dataclass(frozen=True)
 class BudgetSettings:
-    mode_area_um2: float | None
-    gap_amplitude: float | None
-    enhancement: float
-    phase_samples: int
+    mode_area_um2: float | None = None  # solve the mode when unset
+    gap_amplitude: float | None = None  # compute from the gap model when unset
+    enhancement: float = 1.0
+    phase_samples: int = 360
+
+    def __post_init__(self):
+        require_finite(self)
+
+
+_BLOCKS = {
+    "waveguide": WaveguideGeometry,
+    "grid": GridSpec,
+    "gap": GapConfig,
+    "mirror": MirrorSettings,
+    "cavity": CavitySpec,
+    "atom": AtomParams,
+    "trap": TrapConfig,
+    "budget": BudgetSettings,
+}
+_REQUIRED = {
+    "waveguide": ("ridge_width_um", "ridge_height_um", "core_thickness_um",
+                  "n_core", "n_clad", "wavelength_nm"),
+}
+_FILE_DEFAULTS = {"cavity": {"length_um": 300.0, "n_group": 3.50, "alpha_per_cm": 1.03}}
+_COMPUTED = ("gap_round_trip_amplitude",)
 
 
 @dataclass(frozen=True)
@@ -110,48 +87,32 @@ class ProjectConfig:
     mirror: MirrorSettings
     cavity: CavitySpec
     atom: AtomParams
-    trap: dict = field(repr=False, default_factory=dict)
-    budget: BudgetSettings = None
+    trap: TrapConfig | None  # None when the file gives no c4_J_m4
+    budget: BudgetSettings
 
-    def trap_config(self) -> TrapConfig:
-        """Build the trap block; rejects a missing c4 (no silent default)."""
-        kwargs = dict(self.trap)
-        if kwargs.get("c4_J_m4") is None:
-            raise ConfigError("trap.c4_J_m4 is required for trap calculations")
+
+def _parse_block(section: str, cls, items) -> dict:
+    """Typed values of one block: file defaults, then the file's own keys."""
+    hints = get_type_hints(cls)
+    types = {
+        f.name: int if hints[f.name] is int else float
+        for f in fields(cls)
+        if f.name not in _COMPUTED
+    }
+    block = dict(_FILE_DEFAULTS.get(section, {}))
+    for key, raw in items:
+        if key not in types:
+            raise ConfigError(f"unknown key '{key}' in block [{section}]")
         try:
-            return TrapConfig(**kwargs)
+            block[key] = types[key](raw)
         except ValueError as exc:
-            raise ConfigError(f"trap block: {exc}") from exc
-
-
-def _parse_values(parser: configparser.ConfigParser) -> dict:
-    values = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown block [{section}]")
-        block_schema = _SCHEMA[section]
-        block = {}
-        for key, raw in parser.items(section):
-            if key not in block_schema:
-                raise ConfigError(f"unknown key '{key}' in block [{section}]")
-            typ, _ = block_schema[key]
-            try:
-                block[key] = typ(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"key '{section}.{key}': cannot parse '{raw}' as {typ.__name__}"
-                ) from exc
-        values[section] = block
-    # fill defaults, collect missing required keys
-    for section, block_schema in _SCHEMA.items():
-        block = values.setdefault(section, {})
-        for key, (_, default) in block_schema.items():
-            if key in block:
-                continue
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required key '{section}.{key}'")
-            block[key] = default  # may be None: "absent, computed elsewhere"
-    return values
+            raise ConfigError(
+                f"key '{section}.{key}': cannot parse '{raw}' as {types[key].__name__}"
+            ) from exc
+    for key in _REQUIRED.get(section, ()):
+        if key not in block:
+            raise ConfigError(f"missing required key '{section}.{key}'")
+    return block
 
 
 def load_config(path) -> ProjectConfig:
@@ -167,28 +128,26 @@ def load_config(path) -> ProjectConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except configparser.MissingSectionHeaderError as exc:
         raise ConfigError("expected a [block] header first", line=exc.lineno) from exc
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"key '{exc.section}.{exc.option}' is set twice", line=exc.lineno) from exc
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"block [{exc.section}] appears twice", line=exc.lineno) from exc
     except configparser.ParsingError as exc:
         lineno = exc.errors[0][0] if exc.errors else None
         raise ConfigError(f"syntax error: {exc.message.splitlines()[0]}", line=lineno) from exc
 
-    values = _parse_values(parser)
-    try:
-        geometry = WaveguideGeometry(**values["waveguide"])
-        grid = GridSpec(**values["grid"])
-        gap_cfg = GapConfig(**values["gap"])
-        mirror = MirrorSettings(**values["mirror"])
-        cavity = CavitySpec(**values["cavity"])
-        atom = AtomParams(**values["atom"])
-        budget = BudgetSettings(**values["budget"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return ProjectConfig(
-        geometry=geometry,
-        grid=grid,
-        gap=gap_cfg,
-        mirror=mirror,
-        cavity=cavity,
-        atom=atom,
-        trap=values["trap"],
-        budget=budget,
-    )
+    for section in parser.sections():
+        if section not in _BLOCKS:
+            raise ConfigError(f"unknown block [{section}]")
+    blocks = {}
+    for section, cls in _BLOCKS.items():
+        items = parser.items(section) if parser.has_section(section) else ()
+        values = _parse_block(section, cls, items)
+        if section == "trap" and "c4_J_m4" not in values:
+            blocks[section] = None
+            continue
+        try:
+            blocks[section] = cls(**values)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
+    return ProjectConfig(geometry=blocks.pop("waveguide"), **blocks)

@@ -13,7 +13,7 @@ a resonant gap is never applied implicitly; pass `enhancement` explicitly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .constants import C_M_PER_S, EPS0_F_PER_M, HBAR_J_S
 from .cavity import (
@@ -23,7 +23,7 @@ from .cavity import (
     linewidth_ghz,
     round_trip_amplitude,
 )
-from .waveguide import mode_area
+from .errors import require_finite
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ class AtomParams:
     mass_kg: float = 1.44316e-25
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("dipole_Cm", "gamma_half_MHz", "transition_wavelength_nm", "mass_kg"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -92,25 +93,17 @@ def cooperativity(g_over_2pi_MHz: float, kappa_over_2pi_GHz: float,
     return enhancement * g_hz**2 / (kappa_hz * gamma_hz)
 
 
-def full_budget(mode, spec: CavitySpec, gap_amplitude: float | None,
+def full_budget(area: float, spec: CavitySpec, gap_amplitude: float | None,
                 atom: AtomParams, enhancement: float = 1.0) -> CqedBudget:
     """Chain round trip -> finesse -> FSR -> kappa -> g -> cooperativity.
 
-    `mode` is a solved mode (its area is used) or a plain mode area in um^2.
-    `gap_amplitude` overrides the spec's stored gap factor when given.  A
-    lossless round trip (factor >= 1) has no linewidth; the budget is then
-    flagged divergent with zero kappa and infinite cooperativity.
+    `area` is the mode area in um^2.  `gap_amplitude` overrides the spec's
+    stored gap factor when given.  A lossless round trip (factor >= 1) has no
+    linewidth; the budget is then flagged divergent with zero kappa and
+    infinite cooperativity.
     """
-    area = mode if isinstance(mode, (int, float)) else mode_area(mode)
     if gap_amplitude is not None:
-        spec = CavitySpec(
-            length_um=spec.length_um,
-            n_group=spec.n_group,
-            alpha_per_cm=spec.alpha_per_cm,
-            mirror_R_left=spec.mirror_R_left,
-            mirror_R_right=spec.mirror_R_right,
-            gap_round_trip_amplitude=gap_amplitude,
-        )
+        spec = replace(spec, gap_round_trip_amplitude=gap_amplitude)
     g_rt = round_trip_amplitude(spec)
     fsr = free_spectral_range_ghz(spec.length_um, spec.n_group)
     g_mhz = coupling_g_MHz(area, spec.length_um, atom)

@@ -1,4 +1,15 @@
-"""Exception types raised by the toolkit."""
+"""Exception types raised by the toolkit, and the shared finiteness check."""
+
+import dataclasses
+import math
+
+
+def require_finite(obj) -> None:
+    """Reject a dataclass whose float fields are not all finite; None (unset) passes."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 class RidgecavError(Exception):

@@ -7,12 +7,11 @@ on the window edge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GridMismatch, ZeroField
+from .errors import GridMismatch, ZeroField, require_finite
 
 
 def _is_pow2(n: int) -> bool:
@@ -36,9 +35,7 @@ class GridSpec:
         for name, n in (("nx", self.nx), ("ny", self.ny)):
             if n < 16 or not _is_pow2(n):
                 raise ValueError(f"{name} must be a power of two >= 16, got {n}")
-        for name in ("window_x_um", "window_y_um"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        require_finite(self)
         if self.window_x_um <= 0 or self.window_y_um <= 0:
             raise ValueError("window extents must be positive")
 
@@ -76,6 +73,7 @@ class SampledField:
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 2:
             raise ValueError("amplitudes must be a 2-D array")
+        require_finite(self)
         if self.dx_um <= 0 or self.dy_um <= 0:
             raise ValueError("grid spacing must be positive")
         if self.wavelength_nm <= 0:

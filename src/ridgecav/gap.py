@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidIndex, SeriesNotConverged
+from .errors import InvalidIndex, SeriesNotConverged, require_finite
 from .fields import SampledField
 from .propagation import _transfer_function, projection_after_propagation
 
@@ -48,9 +48,7 @@ class GapConfig:
     p_max: int = 64
 
     def __post_init__(self):
-        for name in ("d_um", "n_interface", "series_tolerance"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        require_finite(self)
         if self.d_um < 0:
             raise ValueError("gap width must be >= 0")
         if self.n_interface < 1:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import KB_J_PER_K
+from .errors import require_finite
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,7 @@ class TrapConfig:
     z_samples: int = 201
 
     def __post_init__(self):
+        require_finite(self)
         if self.omega_trap_2pi_kHz <= 0:
             raise ValueError("omega_trap_2pi_kHz must be positive")
         if self.atom_mass_kg <= 0:

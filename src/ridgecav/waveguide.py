@@ -28,14 +28,13 @@ column ordering the eigensolver would pick by default.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import GridTooSmall, InsufficientSamples, NoGuidedMode, ZeroField
+from .errors import GridTooSmall, InsufficientSamples, NoGuidedMode, ZeroField, require_finite
 from .fields import GridSpec, SampledField
 
 BOUNDARY_DECAY_LIMIT = 1e-3
@@ -56,9 +55,7 @@ class WaveguideGeometry:
     wavelength_nm: float = 780.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        require_finite(self)
         for name in (
             "ridge_width_um",
             "ridge_height_um",
@@ -87,7 +84,6 @@ class ModeSolution:
     field: SampledField
     n_eff: float
     mode_area_um2: float
-    geometry: WaveguideGeometry = field(repr=False, default=None)
 
 
 def _coverage(low, high, a, b):
@@ -217,13 +213,11 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
         field=profile,
         n_eff=n_eff,
         mode_area_um2=mode_area(profile),
-        geometry=geometry,
     )
 
 
-def mode_area(mode) -> float:
+def mode_area(f: SampledField) -> float:
     """Effective area (integral I)^2 / integral I^2 with I = |E|^2 (um^2)."""
-    f = mode.field if hasattr(mode, "field") else mode
     intensity = np.abs(f.amplitudes) ** 2
     total = intensity.sum() * f.cell_area_um2
     if total == 0.0:

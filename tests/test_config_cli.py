@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -7,9 +8,17 @@ import numpy as np
 import pytest
 
 import ridgecav
-from ridgecav import ConfigError, load_field_csv
+from ridgecav import (
+    AtomParams,
+    CavitySpec,
+    ConfigError,
+    GapConfig,
+    GridSpec,
+    WaveguideGeometry,
+    load_field_csv,
+)
 from ridgecav.cli import main
-from ridgecav.config import load_config
+from ridgecav.config import BudgetSettings, MirrorSettings, load_config
 
 BASE_WAVEGUIDE = """\
 [waveguide]
@@ -41,6 +50,47 @@ def test_defaults_fill_in(tmp_path):
     assert cfg.cavity.n_group == 3.50
     assert cfg.atom.gamma_half_MHz == 3.0
     assert cfg.budget.enhancement == 1.0
+
+
+def test_minimal_file_loads_dataclass_defaults(tmp_path):
+    cfg = load_config(write_config(tmp_path, BASE_WAVEGUIDE))
+    assert cfg.geometry == WaveguideGeometry()
+    assert cfg.grid == GridSpec()
+    assert cfg.gap == GapConfig()
+    assert cfg.mirror == MirrorSettings()
+    assert cfg.cavity == CavitySpec(300.0, 3.50, 1.03)
+    assert cfg.atom == AtomParams()
+    assert cfg.budget == BudgetSettings()
+    assert cfg.trap is None
+
+
+# every float key of every block; [trap] keys are read only next to a c4_J_m4
+FLOAT_KEYS = {
+    "waveguide": ("ridge_width_um", "ridge_height_um", "core_thickness_um",
+                  "cladding_thickness_um", "n_core", "n_clad", "n_exterior",
+                  "wavelength_nm"),
+    "grid": ("window_x_um", "window_y_um"),
+    "gap": ("d_um", "n_interface", "series_tolerance"),
+    "mirror": ("n_high", "n_low"),
+    "cavity": ("length_um", "n_group", "alpha_per_cm", "mirror_R_left", "mirror_R_right"),
+    "atom": ("dipole_Cm", "gamma_half_MHz", "transition_wavelength_nm", "mass_kg"),
+    "trap": ("omega_trap_2pi_kHz", "atom_mass_kg", "c4_J_m4", "gap_width_um"),
+    "budget": ("mode_area_um2", "gap_amplitude", "enhancement"),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("block, key", [
+    pytest.param(block, key, id=f"{block}.{key}")
+    for block, keys in FLOAT_KEYS.items() for key in keys
+])
+def test_non_finite_value_rejected(tmp_path, block, key, bad):
+    text = BASE_WAVEGUIDE if block == "waveguide" else BASE_WAVEGUIDE + f"\n[{block}]\n"
+    text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M) + f"{key} = {bad}\n"
+    if block == "trap" and key != "c4_J_m4":
+        text += "c4_J_m4 = 1.2e-55\n"
+    with pytest.raises(ConfigError, match=key):
+        load_config(write_config(tmp_path, text))
 
 
 def test_overrides_apply(tmp_path):
@@ -78,6 +128,18 @@ def test_syntax_error_reports_line(tmp_path):
         load_config(write_config(tmp_path, text))
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("n_core = 3.155\n", "line 8: key 'waveguide.n_core' is set twice"),
+    ("\n[grid]\nnx = 64\n\n[grid]\nny = 64\n", "line 12: block [grid] appears twice"),
+], ids=["key", "block"])
+def test_duplicate_key_or_block_rejected(tmp_path, capsys, extra, message):
+    cfg = write_config(tmp_path, BASE_WAVEGUIDE + extra)
+    code, out, err = run_cli(capsys, "mode", cfg, "--out", str(tmp_path))
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_invariant_violation_rejected(tmp_path):
     text = BASE_WAVEGUIDE.replace("n_clad = 3.145", "n_clad = 3.255")
     with pytest.raises(ConfigError):
@@ -86,8 +148,7 @@ def test_invariant_violation_rejected(tmp_path):
 
 def test_trap_block_requires_c4(tmp_path):
     cfg = load_config(write_config(tmp_path, BASE_WAVEGUIDE))
-    with pytest.raises(ConfigError, match="c4"):
-        cfg.trap_config()
+    assert cfg.trap is None
 
 
 # --- CLI commands -----------------------------------------------------------
@@ -251,6 +312,20 @@ def test_cli_fit_two_rows(tmp_path, capsys):
     assert "3" in err  # names the minimum point count
 
 
+@pytest.mark.parametrize("text", [
+    "length_um,finesse\n260,21.7\n650,16.9\ninf,16.9\n",
+    "length_um,finesse\n260,21.7\n650,nan\n1300,12.3\n",
+    "length_um,finesse,sigma\n260,21.7,0.5\n650,16.9,inf\n1300,12.3,0.5\n",
+], ids=["inf-length", "nan-finesse", "inf-sigma"])
+def test_cli_fit_rejects_non_finite(tmp_path, capsys, text):
+    data = tmp_path / "finesse.csv"
+    data.write_text(text)
+    code, out, err = run_cli(capsys, "fit", str(data))
+    assert code == 2
+    assert "finite" in err
+    assert out == ""
+
+
 def test_cli_fit_bad_cell(tmp_path, capsys):
     data = tmp_path / "finesse.csv"
     data.write_text("length_um,finesse\n260,21.7\n650,oops\n1300,12.3\n")
@@ -321,6 +396,16 @@ def test_cli_trap_missing_c4(tmp_path, capsys):
     assert "c4" in err
 
 
+def test_cli_mode_rejects_bad_trap_block(tmp_path, capsys):
+    # a [trap] block that gives c4 is validated at load, whatever the command
+    cfg = write_config(tmp_path, BASE_WAVEGUIDE + TRAP_BLOCK + "z_samples = 50\n")
+    code, out, err = run_cli(capsys, "mode", cfg, "--out", str(tmp_path))
+    assert code == 2
+    assert "z_samples" in err
+    assert out == ""
+    assert not (tmp_path / "mode_field.csv").exists()
+
+
 def test_cli_trap_narrow_gap(tmp_path, capsys):
     text = BASE_WAVEGUIDE + TRAP_BLOCK.replace("gap_width_um = 2.0", "gap_width_um = 0.2")
     cfg = write_config(tmp_path, text)
@@ -345,7 +430,7 @@ def test_shipped_reference_config_loads():
     cfg = load_config(root / "configs" / "reference.cfg")
     assert cfg.geometry.ridge_width_um == 4.0
     assert cfg.gap.d_um == 1.96
-    assert cfg.trap_config().gap_width_um == 2.0
+    assert cfg.trap.gap_width_um == 2.0
 
 
 def test_cli_budget_full_pipeline_computes_gap_amplitude(tmp_path, capsys):

@@ -135,7 +135,7 @@ def test_full_budget_scaling_with_length():
 
 def test_full_budget_accepts_solved_mode(ridge_mode):
     spec = CavitySpec(length_um=300.0, n_group=3.50, alpha_per_cm=1.03)
-    budget = full_budget(ridge_mode, spec, 0.93, RB)
+    budget = full_budget(ridge_mode.mode_area_um2, spec, 0.93, RB)
     expected_g = coupling_g_MHz(ridge_mode.mode_area_um2, 300.0, RB)
     assert budget.g_over_2pi_MHz == pytest.approx(expected_g, rel=1e-12)
 

@@ -46,6 +46,19 @@ def test_field_rejects_non_finite_amplitudes():
         SampledField(amps, dx_um=0.5, dy_um=0.5)
 
 
+@pytest.mark.parametrize("name", ["dx_um", "dy_um", "wavelength_nm", "medium_index"])
+def test_field_rejects_non_finite_scalars(name):
+    with pytest.raises(ValueError, match=name):
+        SampledField(np.ones((16, 16)), **{name: float("nan")})
+
+
+def test_csv_with_non_finite_coordinate_rejected(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_text("x_um,y_um,re,im\n0,0,1,0\n0,1,1,0\ninf,0,1,0\ninf,1,1,0\n")
+    with pytest.raises(ValueError, match="dx_um"):
+        load_field_csv(path, wavelength_nm=780.0)
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     amps = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
