@@ -55,7 +55,10 @@ def _atomic_write_lines(path: str, lines) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; give the usual file mode
         with os.fdopen(fd, "w", newline="\n") as fh:
             for line in lines:
                 fh.write(line + "\n")
@@ -83,8 +86,11 @@ def cmd_mode(args) -> int:
 
 def cmd_gap_scan(args) -> int:
     cfg = load_config(args.config)
-    if not args.phase_scan:
-        # validate the scan range before paying for the mode solve
+    # validate the scan range before paying for the mode solve
+    if args.phase_scan:
+        if args.phase_steps < 1:
+            raise ConfigError(f"need --phase-steps >= 1, got {args.phase_steps}")
+    else:
         if not 0 <= args.d_min < args.d_max < math.inf:
             raise ConfigError(f"need 0 <= d_min < d_max < inf, got [{args.d_min}, {args.d_max}]")
         if args.steps < 2:

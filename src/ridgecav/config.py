@@ -48,6 +48,11 @@ class MirrorSettings:
 
     def __post_init__(self):
         require_finite(self)
+        if self.pairs < 0:
+            raise ValueError(f"pairs must be >= 0, got {self.pairs}")
+        for name in ("n_high", "n_low"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,14 @@ class BudgetSettings:
 
     def __post_init__(self):
         require_finite(self)
+        if self.mode_area_um2 is not None and self.mode_area_um2 <= 0:
+            raise ValueError(f"mode_area_um2 must be > 0, got {self.mode_area_um2}")
+        if self.gap_amplitude is not None and not 0 < self.gap_amplitude <= 1:
+            raise ValueError(f"gap_amplitude must be in (0, 1], got {self.gap_amplitude}")
+        if self.enhancement < 1:
+            raise ValueError(f"enhancement must be >= 1, got {self.enhancement}")
+        if self.phase_samples < 1:
+            raise ValueError(f"phase_samples must be >= 1, got {self.phase_samples}")
 
 
 _BLOCKS = {

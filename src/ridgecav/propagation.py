@@ -9,8 +9,6 @@ part of the transfer function exactly unitary.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import NegativeDistance, ZeroField
@@ -59,6 +57,22 @@ def overlap(a: SampledField, b: SampledField) -> complex:
     return complex(inner / (na * nb))
 
 
+def _spectrum(f: SampledField):
+    """(kz_distinct, w): the distinct propagating k_z and their power weights.
+
+    Plane-wave samples that share a k_z (kx^2 + ky^2 is degenerate on the
+    lattice) propagate identically, so their |F(k)|^2 are merged.  w is
+    normalized by the total power, so evanescent power stays dropped.
+    """
+    kz, mask = _kz_and_mask(f)
+    weights = np.abs(np.fft.fft2(f.amplitudes)) ** 2
+    total = weights.sum()
+    if total == 0.0:
+        raise ZeroField("projection of a zero field is undefined")
+    kz_distinct, which = np.unique(kz[mask], return_inverse=True)
+    return kz_distinct, np.bincount(which, weights=weights[mask]) / total
+
+
 def projection_after_propagation(f: SampledField, distances_um) -> np.ndarray:
     """<f, P_d f> / ||f||^2 for each distance d, evaluated spectrally.
 
@@ -68,26 +82,13 @@ def projection_after_propagation(f: SampledField, distances_um) -> np.ndarray:
         sum_k |F(k)|^2 exp(i k_z d) / sum_k |F(k)|^2,
 
     with evanescent components dropped exactly as propagate_free_space does.
-    One FFT serves all distances, which makes long scans cheap.  Plane-wave
-    samples that share a k_z (kx^2 + ky^2 is degenerate on the lattice)
-    propagate identically, so their weights are merged first.  distances_um
-    may have any shape and the result has that shape (a scalar gives a
-    one-element array).  The phase matrix exp(i k_z d) is formed for one
-    row of distances (along the last axis) at a time, which bounds its
-    memory by one row.  Unlike `overlap`, the propagated field is not
-    re-normalized, so power removed with the evanescent components stays
-    removed.
+    One FFT serves all distances.  distances_um may have any shape and the
+    result has that shape (a scalar gives a one-element array).  Unlike
+    `overlap`, the propagated field is not re-normalized, so power removed
+    with the evanescent components stays removed.
     """
     distances = np.atleast_1d(np.asarray(distances_um, dtype=float))
     if np.any(distances < 0):
         raise NegativeDistance("distances must be >= 0")
-    kz, mask = _kz_and_mask(f)
-    weights = np.abs(np.fft.fft2(f.amplitudes)) ** 2
-    total = weights.sum()
-    if total == 0.0:
-        raise ZeroField("projection of a zero field is undefined")
-    kz_distinct, which = np.unique(kz[mask], return_inverse=True)
-    w = np.bincount(which, weights=weights[mask]) / total
-    rows = distances.reshape(math.prod(distances.shape[:-1]), distances.shape[-1])
-    out = np.array([np.exp(1j * np.outer(row, kz_distinct)) @ w for row in rows])
-    return out.reshape(distances.shape)
+    kz, w = _spectrum(f)
+    return np.exp(1j * np.multiply.outer(distances, kz)) @ w

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ridgecav import GridSpec, SampledField, WaveguideGeometry, solve_fundamental_mode
 
@@ -15,6 +16,11 @@ RIDGE = WaveguideGeometry(
     n_exterior=1.0,
     wavelength_nm=780.0,
 )
+
+# property tests replay the same examples on every run and never time out
+settings.register_profile("ridgecav", derandomize=True, deadline=None,
+                          database=None, max_examples=30)
+settings.load_profile("ridgecav")
 
 GRID = GridSpec(nx=256, ny=256, window_x_um=24.0, window_y_um=24.0)
 

@@ -146,6 +146,32 @@ def test_invariant_violation_rejected(tmp_path):
         load_config(write_config(tmp_path, text))
 
 
+@pytest.mark.parametrize("block, key, bad", [
+    ("mirror", "pairs", "-1"),
+    ("mirror", "n_high", "0.9"),
+    ("mirror", "n_low", "0.5"),
+    ("budget", "phase_samples", "0"),
+    ("budget", "enhancement", "0.5"),
+    ("budget", "mode_area_um2", "0"),
+    ("budget", "gap_amplitude", "0"),
+    ("budget", "gap_amplitude", "1.5"),
+])
+def test_out_of_range_setting_rejected_at_load(tmp_path, block, key, bad):
+    text = BASE_WAVEGUIDE + f"\n[{block}]\n{key} = {bad}\n"
+    with pytest.raises(ConfigError, match=rf"\[{block}\] {key}"):
+        load_config(write_config(tmp_path, text))
+
+
+def test_range_limits_are_accepted_at_load(tmp_path):
+    text = BASE_WAVEGUIDE + (
+        "\n[mirror]\npairs = 0\nn_high = 1.0\nn_low = 1.0\n"
+        "\n[budget]\nphase_samples = 1\nenhancement = 1.0\ngap_amplitude = 1.0\n"
+    )
+    cfg = load_config(write_config(tmp_path, text))
+    assert cfg.mirror == MirrorSettings(n_high=1.0, n_low=1.0, pairs=0)
+    assert cfg.budget == BudgetSettings(gap_amplitude=1.0, phase_samples=1)
+
+
 def test_trap_block_requires_c4(tmp_path):
     cfg = load_config(write_config(tmp_path, BASE_WAVEGUIDE))
     assert cfg.trap is None
@@ -286,6 +312,53 @@ def test_cli_series_not_converged_exit_code(tmp_path, capsys):
     assert code == 4
     assert "p_max=3" in err
     assert out == ""
+
+
+def test_cli_loose_series_tolerance_is_not_converged(tmp_path, capsys):
+    # four terms overshoot R + T = 1 at the narrow widths of the default scan
+    text = BASE_WAVEGUIDE + "\n[gap]\nseries_tolerance = 0.01\n"
+    code, out, err = run_cli(
+        capsys, "gap-scan", write_config(tmp_path, text), "--out", str(tmp_path)
+    )
+    assert code == 4
+    assert "series_tolerance" in err
+    assert out == ""
+    assert not (tmp_path / "gap_scan.csv").exists()
+
+
+def test_cli_phase_scan_rejects_zero_phase_steps(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_WAVEGUIDE)
+    code, out, err = run_cli(
+        capsys, "gap-scan", cfg, "--phase-scan", "--phase-steps", "0", "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert "--phase-steps" in err
+    assert out == ""
+    assert not (tmp_path / "phase_scan.csv").exists()
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("mirror", "pairs", "-1"),
+    ("budget", "phase_samples", "0"),
+    ("budget", "enhancement", "0.5"),
+])
+def test_cli_budget_rejects_out_of_range_setting(tmp_path, capsys, block, key, value):
+    cfg = write_config(tmp_path, BASE_WAVEGUIDE + f"\n[{block}]\n{key} = {value}\n")
+    code, out, err = run_cli(capsys, "budget", cfg, "--out", str(tmp_path))
+    assert code == 2
+    assert f"[{block}] {key}" in err
+    assert out == ""
+
+
+def test_cli_csv_respects_umask(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_WAVEGUIDE)
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run_cli(capsys, "gap-scan", cfg, "--steps", "2", "--out", str(tmp_path))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert (tmp_path / "gap_scan.csv").stat().st_mode & 0o777 == 0o644
 
 
 def test_cli_fit_recovers_reference_parameters(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ridgecav import (
+    GapConfig,
     GridMismatch,
     NegativeDistance,
     SampledField,
@@ -10,6 +11,7 @@ from ridgecav import (
     projection_after_propagation,
     propagate_free_space,
 )
+from ridgecav.gap import _num_terms
 from conftest import make_gaussian
 
 WL_UM = 0.780
@@ -135,3 +137,11 @@ def test_distance_array_rows_match_one_dimensional_calls(ridge_mode):
     assert batched.shape == distances.shape
     for q_row, d_row in zip(batched, distances):
         assert np.max(np.abs(q_row - projection_after_propagation(f, d_row))) < 1e-12
+
+
+def test_projection_factors_bounded_by_one(ridge_mode):
+    # every Q(k d) the gap series sums is a projection of a unit-power field
+    for d in (0.5, 1.0, 1.96, 2.7):
+        n_terms = _num_terms(GapConfig(d_um=d))
+        q = projection_after_propagation(ridge_mode.field, d * np.arange(2 * n_terms + 1))
+        assert np.all(np.abs(q) <= 1 + 1e-9)
