@@ -24,7 +24,6 @@ from .cqed import (
     cooperativity,
     coupling_g_MHz,
     full_budget,
-    optimize_mirror_transmission,
 )
 from .errors import (
     ConfigError,
@@ -110,7 +109,6 @@ __all__ = [
     "load_field_csv",
     "loss_spectrum",
     "mode_area",
-    "optimize_mirror_transmission",
     "overlap",
     "potential_profile",
     "projection_after_propagation",

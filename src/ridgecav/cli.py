@@ -1,23 +1,22 @@
 """Batch front end: mode solve, gap scans, loss fit, budget and trap reports.
 
-Exit codes: 0 ok, 2 input validation, 3 no guided mode, 4 series convergence,
-5 fit failure.  Reports go to stdout as `key=value` lines; tables are written
-as CSV files under --out (written to a temporary name and renamed, so a
-failed run never leaves a partial file).  All numbers are printed with 6
-significant digits, which makes reruns byte-identical.
+Exit codes: 0 ok, 2 input validation or an --out that cannot be written,
+3 no guided mode, 4 series convergence, 5 fit failure.  Reports go to stdout
+as `key=value` lines; tables are written as CSV files under --out (written to
+a temporary name and renamed, so a failed run never leaves a partial file).
+All numbers are printed with 6 significant digits, which makes reruns
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
-import tempfile
 
 from .cavity import fit_losses, quarter_wave_stack, stack_reflectivity
-from .config import ProjectConfig, load_config
+from .config import load_config
 from .constants import KB_J_PER_K
 from .cqed import full_budget
 from .errors import (
@@ -27,8 +26,8 @@ from .errors import (
     RidgecavError,
     SeriesNotConverged,
 )
-from .fields import field_to_csv_rows
-from .gap import loss_spectrum, round_trip_phase_scan
+from .fields import _write_lines, save_field_csv
+from .gap import _check_scan, loss_spectrum, round_trip_phase_scan
 from .trap import potential_profile, trap_analysis
 from .waveguide import solve_fundamental_mode
 
@@ -43,7 +42,7 @@ _EXIT_CODES = (
     (NoGuidedMode, EXIT_NO_MODE),
     (SeriesNotConverged, EXIT_CONVERGENCE),
     (FitDiverged, EXIT_FIT),
-    ((RidgecavError, ValueError), EXIT_VALIDATION),
+    ((RidgecavError, ValueError, OSError), EXIT_VALIDATION),
 )
 
 
@@ -51,33 +50,11 @@ def _fmt(x) -> str:
     return format(float(x), ".6g")
 
 
-def _atomic_write_lines(path: str, lines) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    umask = os.umask(0)
-    os.umask(umask)
-    try:
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; give the usual file mode
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _solve_mode(cfg: ProjectConfig):
-    return solve_fundamental_mode(cfg.geometry, cfg.grid)
-
-
 def cmd_mode(args) -> int:
     cfg = load_config(args.config)
-    mode = _solve_mode(cfg)
+    mode = solve_fundamental_mode(cfg.geometry, cfg.grid)
     out_csv = os.path.join(args.out, "mode_field.csv")
-    _atomic_write_lines(out_csv, field_to_csv_rows(mode.field))
+    save_field_csv(mode.field, out_csv)
     print(f"n_eff={_fmt(mode.n_eff)}")
     print(f"mode_area_um2={_fmt(mode.mode_area_um2)}")
     print(f"field_csv={out_csv}")
@@ -91,11 +68,8 @@ def cmd_gap_scan(args) -> int:
         if args.phase_steps < 1:
             raise ConfigError(f"need --phase-steps >= 1, got {args.phase_steps}")
     else:
-        if not 0 <= args.d_min < args.d_max < math.inf:
-            raise ConfigError(f"need 0 <= d_min < d_max < inf, got [{args.d_min}, {args.d_max}]")
-        if args.steps < 2:
-            raise ConfigError(f"need at least 2 steps, got {args.steps}")
-    mode = _solve_mode(cfg)
+        _check_scan(args.d_min, args.d_max, args.steps)
+    mode = solve_fundamental_mode(cfg.geometry, cfg.grid)
     if args.phase_scan:
         phases, rrt = round_trip_phase_scan(mode, cfg.gap, n_phases=args.phase_steps)
         lines = ["phase_rad,r_rt"]
@@ -106,7 +80,7 @@ def cmd_gap_scan(args) -> int:
         lines = ["d_um,R,T,loss"]
         lines += [f"{_fmt(d)},{_fmt(r)},{_fmt(t)},{_fmt(l)}" for d, r, t, l in rows]
         out_csv = os.path.join(args.out, "gap_scan.csv")
-    _atomic_write_lines(out_csv, lines)
+    _write_lines(out_csv, lines)
     for line in lines:
         print(line)
     return EXIT_OK
@@ -168,7 +142,7 @@ def cmd_budget(args) -> int:
     need_mode = budget_cfg.mode_area_um2 is None or (
         not args.no_gap and budget_cfg.gap_amplitude is None
     )
-    mode = _solve_mode(cfg) if need_mode else None
+    mode = solve_fundamental_mode(cfg.geometry, cfg.grid) if need_mode else None
     area = (
         budget_cfg.mode_area_um2
         if budget_cfg.mode_area_um2 is not None
@@ -220,7 +194,7 @@ def cmd_trap(args) -> int:
         f"{_fmt(z)},{_fmt(u)},{_fmt(u / KB_J_PER_K * 1e6)}" for z, u in zip(z_um, u_J)
     ]
     out_csv = os.path.join(args.out, "trap_profile.csv")
-    _atomic_write_lines(out_csv, lines)
+    _write_lines(out_csv, lines)
     result = trap_analysis(trap_cfg)
     print(f"profile_csv={out_csv}")
     print(f"has_minimum={'true' if result['has_minimum'] else 'false'}")
@@ -282,7 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RidgecavError, ValueError) as exc:
+    except (RidgecavError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 

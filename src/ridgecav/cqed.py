@@ -69,17 +69,6 @@ def coupling_g_MHz(mode_area_um2: float, cavity_length_um: float,
     return g_rad_s / (2.0 * math.pi) / 1e6
 
 
-def optimize_mirror_transmission(kappa_intr_GHz: float):
-    """Pick the mirror-transmission rate equal to the intrinsic rate.
-
-    Returns (kappa_T, kappa_total) = (kappa_intr, 2 kappa_intr), the choice
-    that maximizes single-atom detection signal to noise.
-    """
-    if kappa_intr_GHz < 0:
-        raise ValueError("kappa_intr must be >= 0")
-    return kappa_intr_GHz, 2.0 * kappa_intr_GHz
-
-
 def cooperativity(g_over_2pi_MHz: float, kappa_over_2pi_GHz: float,
                   gamma_over_2pi_MHz: float, enhancement: float = 1.0) -> float:
     """C = enhancement * g^2 / (kappa gamma); all rates as /2pi values."""
@@ -122,12 +111,14 @@ def full_budget(area: float, spec: CavitySpec, gap_amplitude: float | None,
     finesse = finesse_from_round_trip(g_rt)
     width_2kappa = linewidth_ghz(finesse, fsr)
     kappa_intr = width_2kappa / 2.0
-    kappa_t, kappa_total = optimize_mirror_transmission(kappa_intr)
+    # mirror transmission rate equal to the intrinsic rate maximizes the
+    # single-atom detection signal to noise
+    kappa_total = 2.0 * kappa_intr
     coop = cooperativity(g_mhz, kappa_total, atom.gamma_half_MHz, enhancement)
     return CqedBudget(
         g_over_2pi_MHz=g_mhz,
         kappa_intr_over_2pi_GHz=kappa_intr,
-        kappa_T_over_2pi_GHz=kappa_t,
+        kappa_T_over_2pi_GHz=kappa_intr,
         kappa_total_over_2pi_GHz=kappa_total,
         cooperativity=coop,
         enhancement=enhancement,

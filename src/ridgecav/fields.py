@@ -7,6 +7,8 @@ on the window edge.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -110,26 +112,20 @@ class SampledField:
             raise ZeroField("cannot normalize a zero field")
         return replace(self, amplitudes=self.amplitudes / np.sqrt(p))
 
-    def with_amplitudes(self, amplitudes: np.ndarray) -> "SampledField":
-        return replace(self, amplitudes=np.asarray(amplitudes, dtype=complex))
-
     def x_coords_um(self) -> np.ndarray:
         return _cell_centres(self.nx, self.dx_um)
 
     def y_coords_um(self) -> np.ndarray:
         return _cell_centres(self.ny, self.dy_um)
 
-    def same_grid_as(self, other: "SampledField") -> bool:
-        return (
+    def require_same_grid(self, other: "SampledField") -> None:
+        if not (
             self.nx == other.nx
             and self.ny == other.ny
             and np.isclose(self.dx_um, other.dx_um, rtol=1e-12)
             and np.isclose(self.dy_um, other.dy_um, rtol=1e-12)
             and np.isclose(self.wavelength_nm, other.wavelength_nm, rtol=1e-12)
-        )
-
-    def require_same_grid(self, other: "SampledField") -> None:
-        if not self.same_grid_as(other):
+        ):
             raise GridMismatch(
                 "fields must share grid shape, spacing and wavelength: "
                 f"({self.nx}x{self.ny}, dx={self.dx_um:g}, dy={self.dy_um:g}, "
@@ -149,10 +145,28 @@ def field_to_csv_rows(f: SampledField):
             yield f"{x},{y},{re:.6g},{im:.6g}"
 
 
+def _write_lines(path, lines) -> None:
+    """Write LF-terminated lines to a temporary file and rename it to path."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; give the usual file mode
+        with os.fdopen(fd, "w", newline="\n") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_field_csv(f: SampledField, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for line in field_to_csv_rows(f):
-            fh.write(line + "\n")
+    """Write the field as CSV (see field_to_csv_rows), atomically."""
+    _write_lines(path, field_to_csv_rows(f))
 
 
 def load_field_csv(path, wavelength_nm: float, medium_index: float = 1.0) -> SampledField:
@@ -163,8 +177,9 @@ def load_field_csv(path, wavelength_nm: float, medium_index: float = 1.0) -> Sam
     xs = np.unique(data[:, 0])
     ys = np.unique(data[:, 1])
     nx, ny = len(xs), len(ys)
-    if nx * ny != data.shape[0]:
-        raise ValueError("CSV does not describe a full rectangular grid")
+    if not (np.array_equal(data[:, 0], np.repeat(xs, ny))
+            and np.array_equal(data[:, 1], np.tile(ys, nx))):
+        raise ValueError("CSV rows must list the full grid once, x outer, y inner, ascending")
     # span-based spacing averages out the per-coordinate rounding in the file
     dx = float((xs[-1] - xs[0]) / (nx - 1)) if nx > 1 else 1.0
     dy = float((ys[-1] - ys[0]) / (ny - 1)) if ny > 1 else 1.0

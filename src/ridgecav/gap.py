@@ -21,9 +21,10 @@ resonances fall at gap widths of an integer number of half wavelengths,
 slightly shifted by the diffraction (Gouy) phase of the mode.
 
 `brute_force_gap_scattering` is an independent check: it literally bounces
-the field back and forth with the angular-spectrum transfer function of
-propagate_free_space and accumulates the coupled amplitudes interface by
-interface.
+the field back and forth n_bounces times with the angular-spectrum transfer
+function of propagate_free_space and accumulates the coupled amplitudes
+interface by interface; p_max caps only the series.  `_check_scan` holds
+loss_spectrum's range check, which the CLI also runs before the mode solve.
 """
 
 from __future__ import annotations
@@ -153,35 +154,39 @@ def gap_scattering(mode, cfg: GapConfig) -> GapResult:
     return _series(_bounce_sums(_spectrum(_as_field(mode)), cfg, cfg.d_um), cfg)
 
 
-def loss_spectrum(mode, d_min_um: float, d_max_um: float, steps: int,
-                  base_cfg: GapConfig | None = None):
-    """gap_scattering on a uniform width grid; rows of (d, R, T, loss)."""
+def _check_scan(d_min_um: float, d_max_um: float, steps: int) -> None:
+    """Reject a width scan loss_spectrum cannot run, before any work is done."""
     if not 0 <= d_min_um < d_max_um < math.inf:
-        raise ValueError("need 0 <= d_min < d_max < inf")
+        raise ValueError(f"need 0 <= d_min < d_max < inf, got [{d_min_um}, {d_max_um}]")
     if steps < 2:
-        raise ValueError("need at least 2 steps")
-    cfg = base_cfg if base_cfg is not None else GapConfig()
+        raise ValueError(f"need at least 2 steps, got {steps}")
+
+
+def loss_spectrum(mode, d_min_um: float, d_max_um: float, steps: int,
+                  base_cfg: GapConfig = GapConfig()):
+    """gap_scattering on a uniform width grid; rows of (d, R, T, loss)."""
+    _check_scan(d_min_um, d_max_um, steps)
     spectrum = _spectrum(_as_field(mode))
     rows = []
     for d in np.linspace(d_min_um, d_max_um, steps):
-        res = _series(_bounce_sums(spectrum, cfg, d), cfg)
+        res = _series(_bounce_sums(spectrum, base_cfg, d), base_cfg)
         rows.append((float(d), res.R, res.T, res.loss))
     return rows
 
 
-def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int | None = None) -> GapResult:
+def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResult:
     """Bounce the actual field across the gap and re-inject it explicitly.
 
     Cross-check for gap_scattering: the field is propagated segment by
-    segment, the mode-coupled amplitude is collected at each interface hit,
-    and the remainder re-enters the gap with the air-side reflection -r.
+    segment, the mode-coupled amplitude is collected at each of the
+    n_bounces interface hits, and the remainder re-enters the gap with the
+    air-side reflection -r.
     Every segment has the same length, so one transfer function serves all
     of them; each still takes its own FFT pair and real-space overlap.
     """
     f = _as_field(mode).normalized()
     r, _ = fresnel_interface(cfg.n_interface)
     s = np.sqrt(1.0 - r * r)
-    n_bounces = cfg.p_max if n_bounces is None else n_bounces
     transfer = _transfer_function(f, cfg.d_um)
 
     def crossing(amps: np.ndarray) -> np.ndarray:
@@ -212,8 +217,7 @@ def _round_trip(gap: GapResult, arm_phase_rad):
     )
 
 
-def composite_round_trip(mode, cfg: GapConfig, arm_phase_rad: float,
-                         gap: GapResult | None = None) -> float:
+def composite_round_trip(mode, cfg: GapConfig, arm_phase_rad: float) -> float:
     """Round-trip amplitude of gap + guide arm + perfect end mirror.
 
     The arm returns the guided mode with phase exp(i arm_phase); bounces
@@ -225,8 +229,7 @@ def composite_round_trip(mode, cfg: GapConfig, arm_phase_rad: float,
     With a loss-free gap the scattering matrix is unitary and r_rt = 1 for
     every phase.
     """
-    g = gap if gap is not None else gap_scattering(mode, cfg)
-    return float(_round_trip(g, arm_phase_rad))
+    return float(_round_trip(gap_scattering(mode, cfg), arm_phase_rad))
 
 
 def round_trip_phase_scan(mode, cfg: GapConfig, n_phases: int = 720):

@@ -9,22 +9,19 @@ part of the transfer function exactly unitary.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import NegativeDistance, ZeroField
 from .fields import SampledField
 
 
-def _spectral_grids(f: SampledField):
-    """(kx, ky) meshgrid (1/um) matching numpy's FFT layout."""
+def _kz_and_mask(f: SampledField):
+    """k_z (zero where evanescent) and the propagating mask, in numpy's FFT layout."""
     kx = 2.0 * np.pi * np.fft.fftfreq(f.nx, f.dx_um)
     ky = 2.0 * np.pi * np.fft.fftfreq(f.ny, f.dy_um)
-    return np.meshgrid(kx, ky, indexing="ij")
-
-
-def _kz_and_mask(f: SampledField):
-    """Axial wavenumber k_z (zero where evanescent) and the propagating mask."""
-    kx, ky = _spectral_grids(f)
+    kx, ky = np.meshgrid(kx, ky, indexing="ij")
     k = f.wavenumber_per_um
     kz2 = k * k - kx * kx - ky * ky
     mask = kz2 > 0.0
@@ -43,7 +40,7 @@ def _transfer_function(f: SampledField, distance_um: float) -> np.ndarray:
 def propagate_free_space(f: SampledField, distance_um: float) -> SampledField:
     """Propagate the field a distance d >= 0 through its homogeneous medium."""
     transfer = _transfer_function(f, distance_um)
-    return f.with_amplitudes(np.fft.ifft2(np.fft.fft2(f.amplitudes) * transfer))
+    return replace(f, amplitudes=np.fft.ifft2(np.fft.fft2(f.amplitudes) * transfer))
 
 
 def overlap(a: SampledField, b: SampledField) -> complex:

@@ -469,6 +469,19 @@ def test_cli_trap_missing_c4(tmp_path, capsys):
     assert "c4" in err
 
 
+@pytest.mark.parametrize("below", ["x", ""], ids=["under-file", "is-file"])
+def test_cli_unwritable_out_is_a_validation_error(tmp_path, capsys, below):
+    cfg = write_config(tmp_path, BASE_WAVEGUIDE + TRAP_BLOCK)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    out_dir = os.path.join(blocker, below) if below else str(blocker)
+    code, out, err = run_cli(capsys, "trap", cfg, "--out", out_dir)
+    assert code == 2
+    assert str(blocker) in err
+    assert out == ""
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_cli_mode_rejects_bad_trap_block(tmp_path, capsys):
     # a [trap] block that gives c4 is validated at load, whatever the command
     cfg = write_config(tmp_path, BASE_WAVEGUIDE + TRAP_BLOCK + "z_samples = 50\n")

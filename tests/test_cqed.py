@@ -12,7 +12,6 @@ from ridgecav import (
     free_spectral_range_ghz,
     full_budget,
     linewidth_ghz,
-    optimize_mirror_transmission,
     round_trip_amplitude,
 )
 
@@ -42,14 +41,6 @@ def test_coupling_volume_scaling():
     assert coupling_g_MHz(9.9, 330.0, RB) == pytest.approx(
         g1 * math.sqrt(300.0 / 330.0), rel=1e-12
     )
-
-
-def test_optimize_mirror_transmission():
-    kt, ktot = optimize_mirror_transmission(2.4)
-    assert kt == 2.4
-    assert ktot == 4.8
-    assert optimize_mirror_transmission(0.0) == (0.0, 0.0)
-    assert optimize_mirror_transmission(1.0) == (1.0, 2.0)
 
 
 def test_cooperativity_reference_value():
@@ -102,7 +93,8 @@ def test_full_budget_matches_manual_composition():
     fin = finesse_from_round_trip(g_rt)
     fsr = free_spectral_range_ghz(300.0, 3.50)
     kappa_intr = linewidth_ghz(fin, fsr) / 2.0
-    kappa_t, kappa_total = optimize_mirror_transmission(kappa_intr)
+    # mirror transmission rate chosen equal to the intrinsic rate
+    kappa_t, kappa_total = kappa_intr, 2.0 * kappa_intr
     g_mhz = coupling_g_MHz(9.9, 300.0, RB)
     coop = cooperativity(g_mhz, kappa_total, RB.gamma_half_MHz)
     assert budget.finesse == fin

@@ -59,6 +59,17 @@ def test_csv_with_non_finite_coordinate_rejected(tmp_path):
         load_field_csv(path, wavelength_nm=780.0)
 
 
+@pytest.mark.parametrize("rows", [
+    "0,0,1,0\n1,0,2,0\n0,1,3,0\n1,1,4,0\n",
+    "0,0,1,0\n0,0,2,0\n1,1,3,0\n1,1,4,0\n",
+], ids=["y-outer", "repeated-points"])
+def test_csv_rows_out_of_grid_order_rejected(tmp_path, rows):
+    path = tmp_path / "field.csv"
+    path.write_text("x_um,y_um,re,im\n" + rows)
+    with pytest.raises(ValueError, match="x outer, y inner"):
+        load_field_csv(path, wavelength_nm=780.0)
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     amps = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))

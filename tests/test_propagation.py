@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,7 @@ def test_orthogonal_hermite_gaussian_modes():
     f00 = make_gaussian(2.0)
     x = f00.x_coords_um()
     hg10 = f00.amplitudes * x[:, None]  # odd in x
-    f10 = f00.with_amplitudes(hg10).normalized()
+    f10 = replace(f00, amplitudes=hg10).normalized()
     assert abs(overlap(f00, f10)) < 1e-6
 
 
@@ -89,9 +91,10 @@ def test_overlap_of_propagated_gaussian_matches_closed_form():
 def test_overlap_conjugate_symmetry_and_bound():
     rng = np.random.default_rng(3)
     base = make_gaussian(2.0)
-    noisy = base.with_amplitudes(
-        base.amplitudes * (1.0 + 0.1 * rng.normal(size=base.amplitudes.shape))
-        * np.exp(1j * 0.2 * rng.normal(size=base.amplitudes.shape))
+    noisy = replace(
+        base,
+        amplitudes=base.amplitudes * (1.0 + 0.1 * rng.normal(size=base.amplitudes.shape))
+        * np.exp(1j * 0.2 * rng.normal(size=base.amplitudes.shape)),
     )
     q_ab = overlap(base, noisy)
     q_ba = overlap(noisy, base)
@@ -101,7 +104,7 @@ def test_overlap_conjugate_symmetry_and_bound():
 
 def test_overlap_modulus_one_iff_proportional():
     f = make_gaussian(2.0)
-    scaled = f.with_amplitudes((0.3 - 0.4j) * f.amplitudes)
+    scaled = replace(f, amplitudes=(0.3 - 0.4j) * f.amplitudes)
     assert abs(overlap(f, scaled)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -114,7 +117,7 @@ def test_grid_mismatch_rejected():
 
 def test_zero_field_overlap_rejected():
     f = make_gaussian(2.0)
-    z = f.with_amplitudes(np.zeros_like(f.amplitudes))
+    z = replace(f, amplitudes=np.zeros_like(f.amplitudes))
     with pytest.raises(ZeroField):
         overlap(f, z)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -174,7 +176,7 @@ def test_mode_area_gaussian():
 
 def test_mode_area_scale_invariant(ridge_mode):
     f = ridge_mode.field
-    scaled = f.with_amplitudes((2.5 - 1.2j) * f.amplitudes)
+    scaled = replace(f, amplitudes=(2.5 - 1.2j) * f.amplitudes)
     assert mode_area(scaled) == pytest.approx(mode_area(f), rel=1e-12)
 
 
