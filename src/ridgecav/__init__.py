@@ -27,6 +27,7 @@ from .cqed import (
 )
 from .errors import (
     ConfigError,
+    EigensolveFailed,
     FitDiverged,
     GridMismatch,
     GridTooSmall,
@@ -70,6 +71,7 @@ __all__ = [
     "CavitySpec",
     "ConfigError",
     "CqedBudget",
+    "EigensolveFailed",
     "FitDiverged",
     "FitResult",
     "GapConfig",

@@ -1,11 +1,11 @@
 """Batch front end: mode solve, gap scans, loss fit, budget and trap reports.
 
 Exit codes: 0 ok, 2 input validation or an --out that cannot be written,
-3 no guided mode, 4 series convergence, 5 fit failure.  Reports go to stdout
-as `key=value` lines; tables are written as CSV files under --out (written to
-a temporary name and renamed, so a failed run never leaves a partial file).
-All numbers are printed with 6 significant digits, which makes reruns
-byte-identical.
+3 no guided mode, 4 series convergence or a failed eigensolve, 5 fit failure.
+Reports go to stdout as `key=value` lines; tables are written as CSV files
+under --out (written to a temporary name and renamed, so a failed run never
+leaves a partial file).  All numbers are printed with 6 significant digits,
+which makes reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .constants import KB_J_PER_K
 from .cqed import full_budget
 from .errors import (
     ConfigError,
+    EigensolveFailed,
     FitDiverged,
     NoGuidedMode,
     RidgecavError,
@@ -40,7 +41,7 @@ EXIT_FIT = 5
 # first match wins, so the specific errors come before the catch-all
 _EXIT_CODES = (
     (NoGuidedMode, EXIT_NO_MODE),
-    (SeriesNotConverged, EXIT_CONVERGENCE),
+    ((SeriesNotConverged, EigensolveFailed), EXIT_CONVERGENCE),
     (FitDiverged, EXIT_FIT),
     ((RidgecavError, ValueError, OSError), EXIT_VALIDATION),
 )

@@ -61,6 +61,10 @@ class SeriesNotConverged(RidgecavError):
     """Multiple-reflection series hit the term cap before the tolerance."""
 
 
+class EigensolveFailed(RidgecavError):
+    """The mode's shifted operator is singular or the eigensolver did not converge."""
+
+
 class OutOfRange(RidgecavError):
     """Scalar argument outside the operation's domain."""
 

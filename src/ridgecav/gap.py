@@ -14,8 +14,9 @@ through-product is 1 - r^2):
 where the sign difference comes from the air-side reflections being -r.
 Q(L) = sum w exp(i k_z L) over the mode's angular spectrum, so each plane
 wave crosses the gap as its own Airy etalon, and the N-term series sums in
-closed form per component (`_bounce_sums`).  Each public function builds
-the spectrum (one FFT of the mode) once, for one width or a whole scan.
+closed form per component (`_bounce_sums`).  The spectrum (one FFT of the
+mode) is built once per solved mode: a ModeSolution keeps it for every later
+call, while a bare SampledField pays one per call, for one width or a scan.
 The phase uses k = 2 pi/lambda (the gap medium is air), so the etalon
 resonances fall at gap widths of an integer number of half wavelengths,
 slightly shifted by the diffraction (Gouy) phase of the mode.
@@ -35,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidIndex, SeriesNotConverged, require_finite
-from .fields import SampledField
 from .propagation import _spectrum, _transfer_function
+from .waveguide import ModeSolution
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,9 @@ def fresnel_interface(n: float):
     return r, t
 
 
-def _as_field(mode) -> SampledField:
-    return mode.field if hasattr(mode, "field") else mode
+def _spectrum_of(mode):
+    """The angular spectrum: kept on a solved mode, built anew for a bare field."""
+    return mode.spectrum if isinstance(mode, ModeSolution) else _spectrum(mode)
 
 
 def _num_terms(cfg: GapConfig) -> int:
@@ -151,7 +153,7 @@ def _series(sums, cfg: GapConfig) -> GapResult:
 
 def gap_scattering(mode, cfg: GapConfig) -> GapResult:
     """Sum the coherent multiple-reflection series for one gap width."""
-    return _series(_bounce_sums(_spectrum(_as_field(mode)), cfg, cfg.d_um), cfg)
+    return _series(_bounce_sums(_spectrum_of(mode), cfg, cfg.d_um), cfg)
 
 
 def _check_scan(d_min_um: float, d_max_um: float, steps: int) -> None:
@@ -166,7 +168,7 @@ def loss_spectrum(mode, d_min_um: float, d_max_um: float, steps: int,
                   base_cfg: GapConfig = GapConfig()):
     """gap_scattering on a uniform width grid; rows of (d, R, T, loss)."""
     _check_scan(d_min_um, d_max_um, steps)
-    spectrum = _spectrum(_as_field(mode))
+    spectrum = _spectrum_of(mode)
     rows = []
     for d in np.linspace(d_min_um, d_max_um, steps):
         res = _series(_bounce_sums(spectrum, base_cfg, d), base_cfg)
@@ -184,7 +186,7 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     Every segment has the same length, so one transfer function serves all
     of them; each still takes its own FFT pair and real-space overlap.
     """
-    f = _as_field(mode).normalized()
+    f = (mode.field if isinstance(mode, ModeSolution) else mode).normalized()
     r, _ = fresnel_interface(cfg.n_interface)
     s = np.sqrt(1.0 - r * r)
     transfer = _transfer_function(f, cfg.d_um)
@@ -248,7 +250,7 @@ def field_enhancement(mode, cfg: GapConfig, arm_phase_rad: float) -> float:
 
         ratio = sqrt(n) (|G+| + |G-|) / (1 + r_rt).
     """
-    sum0, sum1, sum2 = _bounce_sums(_spectrum(_as_field(mode)), cfg, cfg.d_um)
+    sum0, sum1, sum2 = _bounce_sums(_spectrum_of(mode), cfg, cfg.d_um)
     gres = _series((sum0, sum1, sum2), cfg)
     r, _ = fresnel_interface(cfg.n_interface)
     s = np.sqrt(1.0 - r * r)

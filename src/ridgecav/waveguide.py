@@ -29,13 +29,16 @@ column ordering the eigensolver would pick by default.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import GridTooSmall, InsufficientSamples, NoGuidedMode, ZeroField, require_finite
+from .errors import (EigensolveFailed, GridTooSmall, InsufficientSamples, NoGuidedMode,
+                     ZeroField, require_finite)
 from .fields import GridSpec, SampledField
+from .propagation import _spectrum
 
 BOUNDARY_DECAY_LIMIT = 1e-3
 MARGIN_UM = 4.0
@@ -79,11 +82,19 @@ class WaveguideGeometry:
 
 @dataclass(frozen=True)
 class ModeSolution:
-    """Solved fundamental mode: unit-power profile, n_eff and mode area."""
+    """Solved fundamental mode: unit-power profile, n_eff and mode area.
+
+    `spectrum` is the profile's angular spectrum, built on first use and kept
+    for every later gap call; the solver makes the profile read-only.
+    """
 
     field: SampledField
     n_eff: float
     mode_area_um2: float
+
+    @cached_property
+    def spectrum(self):
+        return _spectrum(self.field)
 
 
 def _coverage(low, high, a, b):
@@ -159,8 +170,9 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
     """Largest-n_eff eigenmode of the scalar Helmholtz operator.
 
     Raises NoGuidedMode when the top of the spectrum is at or below the
-    cladding light line, and GridTooSmall when the window clips the ridge
-    or the solved mode has not decayed at the window edge.
+    cladding light line, GridTooSmall when the window clips the ridge or
+    the solved mode has not decayed at the window edge, and EigensolveFailed
+    when the shifted operator is singular or ARPACK does not converge.
     """
     _check_margins(geometry, grid)
     k0 = geometry.k0_per_um
@@ -168,12 +180,15 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
     A = _helmholtz_matrix(eps[grid.nx // 2 :], grid.dx_um, grid.dy_um, k0)
     sigma = (k0 * geometry.n_core) ** 2
     n = A.shape[0]
-    lu = spla.splu(A - sigma * sp.identity(n, format="csc"), permc_spec="MMD_AT_PLUS_A")
-    # fixed start vector keeps the solve deterministic run to run
-    vals, vecs = spla.eigsh(
-        A, k=1, sigma=sigma, which="LM", v0=np.ones(n),
-        OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
-    )
+    try:
+        lu = spla.splu(A - sigma * sp.identity(n, format="csc"), permc_spec="MMD_AT_PLUS_A")
+        # fixed start vector keeps the solve deterministic run to run
+        vals, vecs = spla.eigsh(
+            A, k=1, sigma=sigma, which="LM", v0=np.ones(n),
+            OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
+        )
+    except RuntimeError as exc:  # splu's "exactly singular"; ArpackNoConvergence
+        raise EigensolveFailed(f"eigensolve failed: {exc}") from exc
     beta_sq = float(vals[0])
     if beta_sq <= 0:
         raise NoGuidedMode("no propagating solution found")
@@ -209,6 +224,7 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
             f"limit is {BOUNDARY_DECAY_LIMIT:g}"
         )
 
+    profile.amplitudes.setflags(write=False)  # an in-place write would leave `spectrum` stale
     return ModeSolution(
         field=profile,
         n_eff=n_eff,

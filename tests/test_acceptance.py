@@ -8,15 +8,12 @@ so a single red sub-check still reports the rest.
 import math
 
 import numpy as np
-import pytest
 
 from ridgecav import (
     AtomParams,
     CavitySpec,
     GapConfig,
     brute_force_gap_scattering,
-    composite_round_trip,
-    coupling_g_MHz,
     field_enhancement,
     finesse_from_round_trip,
     fit_losses,

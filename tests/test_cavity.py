@@ -3,7 +3,6 @@ import pytest
 
 from ridgecav import (
     CavitySpec,
-    FitDiverged,
     InsufficientData,
     MirrorStack,
     NoSolution,

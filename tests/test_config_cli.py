@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import ridgecav
 from ridgecav import (
@@ -216,6 +217,25 @@ def test_cli_mode_rejects_non_finite_geometry(tmp_path, capsys, key, text, bad):
     code, out, err = run_cli(capsys, "mode", cfg, "--out", str(tmp_path))
     assert code == 2
     assert key in err
+    assert out == ""
+    assert not (tmp_path / "mode_field.csv").exists()
+
+
+@pytest.mark.parametrize("solver, error", [
+    pytest.param("splu", RuntimeError("Factor is exactly singular"), id="singular"),
+    pytest.param("eigsh", spla.ArpackNoConvergence(
+        "ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0))), id="arpack"),
+])
+def test_cli_mode_solver_failure_exit_code(tmp_path, capsys, monkeypatch, solver, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(spla, solver, fail)
+    text = BASE_WAVEGUIDE + "\n[grid]\nnx = 64\nny = 64\n"
+    code, out, err = run_cli(capsys, "mode", write_config(tmp_path, text), "--out", str(tmp_path))
+    assert code == 4
+    assert err.startswith("error: ") and str(error) in err
+    assert "Traceback" not in err
     assert out == ""
     assert not (tmp_path / "mode_field.csv").exists()
 

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from ridgecav import (
     GapConfig,
     InvalidIndex,
+    ModeSolution,
     SeriesNotConverged,
     brute_force_gap_scattering,
     composite_round_trip,
@@ -15,8 +16,10 @@ from ridgecav import (
     projection_after_propagation,
     round_trip_phase_scan,
 )
+from ridgecav import gap as gap_module, propagation, waveguide
 from ridgecav.fields import SampledField
 from ridgecav.gap import _num_terms
+from ridgecav.propagation import _spectrum
 from conftest import make_gaussian
 
 WL_UM = 0.780
@@ -207,6 +210,23 @@ def test_series_matches_bounce_model(w0_um, d_um, n_interface, log_tolerance):
     assert abs(res.t_amplitude - brute.t_amplitude) < 1e-7
 
 
+@given(
+    w0_um=st.floats(1.0, 4.0),
+    n_interface=st.floats(1.0, 4.0),
+    log_tolerance=st.floats(-14.0, -10.0),
+    arm_phase=st.floats(0.0, 2.0 * np.pi),
+)
+def test_loss_free_gap_returns_everything_at_every_arm_phase(w0_um, n_interface,
+                                                             log_tolerance, arm_phase):
+    # at d = 0 no plane wave picks up a phase, so the gap is a lossless etalon
+    # whose scattering matrix is unitary up to the series tail r^(2N) < tolerance
+    f = make_gaussian(w0_um, nx=64)
+    cfg = GapConfig(d_um=0.0, n_interface=n_interface, series_tolerance=10.0**log_tolerance)
+    _, rrt = round_trip_phase_scan(f, cfg, 64)
+    assert np.max(np.abs(rrt - 1.0)) < 1e-9
+    assert abs(composite_round_trip(f, cfg, arm_phase) - 1.0) < 1e-9
+
+
 def test_composite_lossless_gap_is_unitary():
     # a single plane-wave component has unit projection after any distance,
     # so the composite must return everything at every arm phase
@@ -286,3 +306,34 @@ def test_gap_config_validation():
         GapConfig(series_tolerance=2.0)
     with pytest.raises(ValueError):
         GapConfig(p_max=0)
+
+
+def test_solved_mode_and_its_profile_give_identical_results(ridge_mode):
+    # the spectrum a solved mode keeps is exactly the one its profile yields
+    cfg = GapConfig(d_um=1.96)
+
+    def results(mode):
+        _, rrt = round_trip_phase_scan(mode, cfg, 360)
+        return (gap_scattering(mode, cfg), loss_spectrum(mode, 0.3, 3.0, 271, cfg),
+                rrt.tolist(), composite_round_trip(mode, cfg, 0.7),
+                field_enhancement(mode, cfg, 0.7))
+
+    assert results(ridge_mode) == results(ridge_mode.field)
+
+
+def test_fresh_solved_mode_builds_its_spectrum_once(ridge_mode, monkeypatch):
+    builds = []
+
+    def counting(f):
+        builds.append(f)
+        return _spectrum(f)
+
+    for module in (propagation, waveguide, gap_module):
+        monkeypatch.setattr(module, "_spectrum", counting)
+    mode = ModeSolution(ridge_mode.field, ridge_mode.n_eff, ridge_mode.mode_area_um2)
+    cfg = GapConfig(d_um=1.96)
+    loss_spectrum(mode, 0.3, 3.0, 11, cfg)
+    round_trip_phase_scan(mode, cfg, 16)
+    field_enhancement(mode, cfg, 0.7)
+    gap_scattering(mode, cfg)
+    assert len(builds) == 1

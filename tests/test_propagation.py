@@ -2,12 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ridgecav import (
     GapConfig,
     GridMismatch,
     NegativeDistance,
-    SampledField,
     ZeroField,
     overlap,
     projection_after_propagation,
@@ -62,6 +62,29 @@ def test_semigroup_property():
     one_hop = propagate_free_space(f, 7.3)
     two_hops = propagate_free_space(propagate_free_space(f, 4.1), 3.2)
     assert np.max(np.abs(one_hop.amplitudes - two_hops.amplitudes)) < 1e-9
+
+
+@given(
+    w0_um=st.floats(0.3, 4.0),
+    offset_um=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    a_um=st.floats(0.0, 20.0),
+    b_um=st.floats(0.0, 20.0),
+)
+def test_propagation_keeps_propagating_power_and_is_a_semigroup(w0_um, offset_um, a_um, b_um):
+    # the propagated field keeps exactly the power of the input's plane waves
+    # with kx^2 + ky^2 < k^2 (Parseval), and two hops land exactly where one
+    # hop of the summed length does
+    f = make_gaussian(w0_um, nx=64, offset_um=offset_um)
+    one_hop = propagate_free_space(f, a_um + b_um)
+    two_hops = propagate_free_space(propagate_free_space(f, a_um), b_um)
+    kx = 2.0 * np.pi * np.fft.fftfreq(f.nx, f.dx_um)
+    ky = 2.0 * np.pi * np.fft.fftfreq(f.ny, f.dy_um)
+    propagating = kx[:, None] ** 2 + ky[None, :] ** 2 < f.wavenumber_per_um**2
+    power = np.abs(np.fft.fft2(f.amplitudes))[propagating] ** 2
+    expected = power.sum() / f.amplitudes.size * f.cell_area_um2
+    assert one_hop.power() == pytest.approx(expected, rel=1e-12)
+    peak = np.abs(f.amplitudes).max()
+    assert np.max(np.abs(two_hops.amplitudes - one_hop.amplitudes)) <= 1e-12 * peak
 
 
 def test_self_overlap_is_one():

@@ -233,3 +233,18 @@ def test_geometry_validation():
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=name):
                 WaveguideGeometry(**{name: bad})
+
+
+def test_solve_leaves_the_spectrum_unbuilt():
+    # Built inside the solve, while the LU factor was still alive, the
+    # spectrum raised the gap_design benchmark's peak RSS from about 99 to
+    # 111 MiB over five reference solves (2-core Xeon, 1 BLAS thread); built
+    # on first use after the solve, it left the peak where it was.
+    mode = solve_fundamental_mode(RIDGE, replace(GRID, nx=64, ny=64))
+    assert "spectrum" not in vars(mode)
+
+
+def test_solved_profile_is_read_only(ridge_mode):
+    # an in-place write would leave the spectrum the mode keeps stale
+    with pytest.raises(ValueError, match="read-only"):
+        ridge_mode.field.amplitudes[0, 0] = 0.0
