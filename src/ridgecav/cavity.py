@@ -17,35 +17,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import C_M_PER_S
-from .errors import FitDiverged, InsufficientData, NoSolution, OutOfRange, require_finite
+from .errors import FitDiverged, InsufficientData, NoSolution, OutOfRange, check_fields
 
 
 @dataclass(frozen=True)
 class CavitySpec:
     """Cavity length, group index, propagation loss and mirror reflectivities."""
 
-    length_um: float
-    n_group: float
-    alpha_per_cm: float = 0.0
-    mirror_R_left: float = 1.0
-    mirror_R_right: float = 1.0
-    gap_round_trip_amplitude: float | None = None
+    length_um: float = field(metadata={"gt": 0})
+    n_group: float = field(metadata={"gt": 0})
+    alpha_per_cm: float = field(default=0.0, metadata={"ge": 0})
+    mirror_R_left: float = field(default=1.0, metadata={"ge": 0, "le": 1})
+    mirror_R_right: float = field(default=1.0, metadata={"ge": 0, "le": 1})
+    gap_round_trip_amplitude: float | None = field(default=None, metadata={"gt": 0, "le": 1})
 
-    def __post_init__(self):
-        require_finite(self)
-        if self.length_um <= 0:
-            raise ValueError("length_um must be positive")
-        if self.n_group <= 0:
-            raise ValueError("n_group must be positive")
-        if self.alpha_per_cm < 0:
-            raise ValueError("alpha_per_cm must be >= 0")
-        for name in ("mirror_R_left", "mirror_R_right"):
-            rr = getattr(self, name)
-            if not (0.0 <= rr <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1]")
-        amp = self.gap_round_trip_amplitude
-        if amp is not None and not (0.0 < amp <= 1.0):
-            raise ValueError("gap_round_trip_amplitude must be in (0, 1]")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -53,18 +39,17 @@ class MirrorStack:
     """Ordered thin-film layers (index, thickness_nm) from the incidence side."""
 
     layers: tuple
-    n_incident: float
-    n_exit: float
+    n_incident: float = field(metadata={"ge": 1})
+    n_exit: float = field(metadata={"ge": 1})
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple((float(n), float(t)) for n, t in self.layers))
+        check_fields(self)
         for n, t in self.layers:
-            if n < 1:
-                raise ValueError("layer indices must be >= 1")
-            if t <= 0:
-                raise ValueError("layer thicknesses must be positive")
-        if self.n_incident < 1 or self.n_exit < 1:
-            raise ValueError("bounding indices must be >= 1")
+            if not 1 <= n < np.inf:
+                raise ValueError(f"layer indices must be finite and >= 1, got {n}")
+            if not 0 < t < np.inf:
+                raise ValueError(f"layer thicknesses must be finite and > 0, got {t}")
 
 
 @dataclass(frozen=True)

@@ -23,17 +23,21 @@ file departs from the dataclasses in three places only:
 coefficient); otherwise `ProjectConfig.trap` is None.  Unknown blocks or
 keys are rejected, every value is validated before any computation runs,
 and physical quantities carry their unit in the key name.
+
+A key's domain is declared on its dataclass field as gt/ge/lt/le metadata
+and enforced, with finiteness, by `errors.check_fields`; a value outside it
+fails as `[block] key must be <op> <bound>, got <value>`.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
 from .cavity import CavitySpec
 from .cqed import AtomParams
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, check_fields
 from .fields import GridSpec
 from .gap import GapConfig
 from .trap import TrapConfig
@@ -42,36 +46,22 @@ from .waveguide import WaveguideGeometry
 
 @dataclass(frozen=True)
 class MirrorSettings:
-    n_high: float = 2.35
-    n_low: float = 1.50
-    pairs: int = 3
+    n_high: float = field(default=2.35, metadata={"ge": 1})
+    n_low: float = field(default=1.50, metadata={"ge": 1})
+    pairs: int = field(default=3, metadata={"ge": 0})
 
-    def __post_init__(self):
-        require_finite(self)
-        if self.pairs < 0:
-            raise ValueError(f"pairs must be >= 0, got {self.pairs}")
-        for name in ("n_high", "n_low"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class BudgetSettings:
-    mode_area_um2: float | None = None  # solve the mode when unset
-    gap_amplitude: float | None = None  # compute from the gap model when unset
-    enhancement: float = 1.0
-    phase_samples: int = 360
+    # when unset, the mode solve gives mode_area_um2 and the gap model gap_amplitude
+    mode_area_um2: float | None = field(default=None, metadata={"gt": 0})
+    gap_amplitude: float | None = field(default=None, metadata={"gt": 0, "le": 1})
+    enhancement: float = field(default=1.0, metadata={"ge": 1})
+    phase_samples: int = field(default=360, metadata={"ge": 1})
 
-    def __post_init__(self):
-        require_finite(self)
-        if self.mode_area_um2 is not None and self.mode_area_um2 <= 0:
-            raise ValueError(f"mode_area_um2 must be > 0, got {self.mode_area_um2}")
-        if self.gap_amplitude is not None and not 0 < self.gap_amplitude <= 1:
-            raise ValueError(f"gap_amplitude must be in (0, 1], got {self.gap_amplitude}")
-        if self.enhancement < 1:
-            raise ValueError(f"enhancement must be >= 1, got {self.enhancement}")
-        if self.phase_samples < 1:
-            raise ValueError(f"phase_samples must be >= 1, got {self.phase_samples}")
+    __post_init__ = check_fields
 
 
 _BLOCKS = {

@@ -13,7 +13,7 @@ a resonant gap is never applied implicitly; pass `enhancement` explicitly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .constants import C_M_PER_S, EPS0_F_PER_M, HBAR_J_S
 from .cavity import (
@@ -23,23 +23,19 @@ from .cavity import (
     linewidth_ghz,
     round_trip_amplitude,
 )
-from .errors import require_finite
+from .errors import check_fields
 
 
 @dataclass(frozen=True)
 class AtomParams:
     """Transition dipole, half-linewidth, wavelength and mass of the atom."""
 
-    dipole_Cm: float = 3.584e-29
-    gamma_half_MHz: float = 3.0
-    transition_wavelength_nm: float = 780.0
-    mass_kg: float = 1.44316e-25
+    dipole_Cm: float = field(default=3.584e-29, metadata={"gt": 0})
+    gamma_half_MHz: float = field(default=3.0, metadata={"gt": 0})
+    transition_wavelength_nm: float = field(default=780.0, metadata={"gt": 0})
+    mass_kg: float = field(default=1.44316e-25, metadata={"gt": 0})
 
-    def __post_init__(self):
-        require_finite(self)
-        for name in ("dipole_Cm", "gamma_half_MHz", "transition_wavelength_nm", "mass_kg"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -96,32 +92,23 @@ def full_budget(area: float, spec: CavitySpec, gap_amplitude: float | None,
     g_rt = round_trip_amplitude(spec)
     fsr = free_spectral_range_ghz(spec.length_um, spec.n_group)
     g_mhz = coupling_g_MHz(area, spec.length_um, atom)
-    if g_rt >= 1.0:
-        return CqedBudget(
-            g_over_2pi_MHz=g_mhz,
-            kappa_intr_over_2pi_GHz=0.0,
-            kappa_T_over_2pi_GHz=0.0,
-            kappa_total_over_2pi_GHz=0.0,
-            cooperativity=math.inf,
-            enhancement=enhancement,
-            finesse=math.inf,
-            fsr_GHz=fsr,
-            divergent=True,
-        )
-    finesse = finesse_from_round_trip(g_rt)
-    width_2kappa = linewidth_ghz(finesse, fsr)
-    kappa_intr = width_2kappa / 2.0
-    # mirror transmission rate equal to the intrinsic rate maximizes the
-    # single-atom detection signal to noise
-    kappa_total = 2.0 * kappa_intr
-    coop = cooperativity(g_mhz, kappa_total, atom.gamma_half_MHz, enhancement)
+    divergent = g_rt >= 1.0
+    if divergent:
+        finesse, kappa_intr, coop = math.inf, 0.0, math.inf
+    else:
+        finesse = finesse_from_round_trip(g_rt)
+        kappa_intr = linewidth_ghz(finesse, fsr) / 2.0
+        # mirror transmission rate equal to the intrinsic rate maximizes the
+        # single-atom detection signal to noise
+        coop = cooperativity(g_mhz, 2.0 * kappa_intr, atom.gamma_half_MHz, enhancement)
     return CqedBudget(
         g_over_2pi_MHz=g_mhz,
         kappa_intr_over_2pi_GHz=kappa_intr,
         kappa_T_over_2pi_GHz=kappa_intr,
-        kappa_total_over_2pi_GHz=kappa_total,
+        kappa_total_over_2pi_GHz=2.0 * kappa_intr,
         cooperativity=coop,
         enhancement=enhancement,
         finesse=finesse,
         fsr_GHz=fsr,
+        divergent=divergent,
     )

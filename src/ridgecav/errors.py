@@ -1,15 +1,29 @@
-"""Exception types raised by the toolkit, and the shared finiteness check."""
+"""Exception types raised by the toolkit, and the shared field check."""
 
 import dataclasses
 import math
+import operator
+
+_BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
+           "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
 
 
-def require_finite(obj) -> None:
-    """Reject a dataclass whose float fields are not all finite; None (unset) passes."""
+def check_fields(obj) -> None:
+    """Reject a dataclass field that is non-finite or outside its declared bounds.
+
+    A field declares its domain as `field(metadata={"ge": 1})`, with any of
+    gt, ge, lt and le.  None (unset) passes.
+    """
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
+        if value is None:
+            continue
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+        for kind, bound in f.metadata.items():
+            holds, symbol = _BOUNDS[kind]
+            if not holds(value, bound):
+                raise ValueError(f"{f.name} must be {symbol} {bound}, got {value}")
 
 
 class RidgecavError(Exception):
@@ -46,7 +60,7 @@ class InsufficientSamples(RidgecavError):
 
 
 class NegativeDistance(RidgecavError):
-    """Propagation distance must be non-negative."""
+    """Propagation distance must be finite and non-negative."""
 
 
 class GridMismatch(RidgecavError):

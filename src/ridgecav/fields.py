@@ -13,11 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GridMismatch, ZeroField, require_finite
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+from .errors import GridMismatch, ZeroField, check_fields
 
 
 def _cell_centres(n: int, step: float) -> np.ndarray:
@@ -28,18 +24,16 @@ def _cell_centres(n: int, step: float) -> np.ndarray:
 class GridSpec:
     """Uniform sampling grid: counts and physical window extents (um)."""
 
-    nx: int = 256
-    ny: int = 256
-    window_x_um: float = 24.0
-    window_y_um: float = 24.0
+    nx: int = field(default=256, metadata={"ge": 16})
+    ny: int = field(default=256, metadata={"ge": 16})
+    window_x_um: float = field(default=24.0, metadata={"gt": 0})
+    window_y_um: float = field(default=24.0, metadata={"gt": 0})
 
     def __post_init__(self):
+        check_fields(self)
         for name, n in (("nx", self.nx), ("ny", self.ny)):
-            if n < 16 or not _is_pow2(n):
-                raise ValueError(f"{name} must be a power of two >= 16, got {n}")
-        require_finite(self)
-        if self.window_x_um <= 0 or self.window_y_um <= 0:
-            raise ValueError("window extents must be positive")
+            if n & (n - 1):
+                raise ValueError(f"{name} must be a power of two, got {n}")
 
     @property
     def dx_um(self) -> float:
@@ -65,23 +59,17 @@ class SampledField:
     """
 
     amplitudes: np.ndarray = field(repr=False)
-    dx_um: float = 0.09375
-    dy_um: float = 0.09375
-    wavelength_nm: float = 780.0
-    medium_index: float = 1.0
+    dx_um: float = field(default=0.09375, metadata={"gt": 0})
+    dy_um: float = field(default=0.09375, metadata={"gt": 0})
+    wavelength_nm: float = field(default=780.0, metadata={"gt": 0})
+    medium_index: float = field(default=1.0, metadata={"ge": 1})
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 2:
             raise ValueError("amplitudes must be a 2-D array")
-        require_finite(self)
-        if self.dx_um <= 0 or self.dy_um <= 0:
-            raise ValueError("grid spacing must be positive")
-        if self.wavelength_nm <= 0:
-            raise ValueError("wavelength must be positive")
-        if self.medium_index < 1:
-            raise ValueError("medium_index must be >= 1")
+        check_fields(self)
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
 

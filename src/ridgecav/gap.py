@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidIndex, SeriesNotConverged, require_finite
+from .errors import InvalidIndex, SeriesNotConverged, check_fields
 from .propagation import _spectrum, _transfer_function
 from .waveguide import ModeSolution
 
@@ -44,21 +44,12 @@ from .waveguide import ModeSolution
 class GapConfig:
     """Gap width, interface index and series truncation controls."""
 
-    d_um: float = 1.96
-    n_interface: float = 3.155
-    series_tolerance: float = 1e-8
-    p_max: int = 64
+    d_um: float = field(default=1.96, metadata={"ge": 0})
+    n_interface: float = field(default=3.155, metadata={"ge": 1})
+    series_tolerance: float = field(default=1e-8, metadata={"gt": 0, "lt": 1})
+    p_max: int = field(default=64, metadata={"ge": 1})
 
-    def __post_init__(self):
-        require_finite(self)
-        if self.d_um < 0:
-            raise ValueError("gap width must be >= 0")
-        if self.n_interface < 1:
-            raise InvalidIndex("n_interface must be >= 1")
-        if not (0 < self.series_tolerance < 1):
-            raise ValueError("series_tolerance must be in (0, 1)")
-        if self.p_max < 1:
-            raise ValueError("p_max must be >= 1")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,14 @@ def _kz_and_mask(f: SampledField):
 
 def _transfer_function(f: SampledField, distance_um: float) -> np.ndarray:
     """exp(i k_z d) on the propagating components, 0 on the evanescent ones."""
-    if distance_um < 0:
-        raise NegativeDistance(f"propagation distance must be >= 0, got {distance_um}")
+    if not 0 <= distance_um < np.inf:
+        raise NegativeDistance(f"propagation distance must be in [0, inf), got {distance_um}")
     kz, mask = _kz_and_mask(f)
     return np.where(mask, np.exp(1j * kz * distance_um), 0.0)
 
 
 def propagate_free_space(f: SampledField, distance_um: float) -> SampledField:
-    """Propagate the field a distance d >= 0 through its homogeneous medium."""
+    """Propagate the field a finite distance d >= 0 through its homogeneous medium."""
     transfer = _transfer_function(f, distance_um)
     return replace(f, amplitudes=np.fft.ifft2(np.fft.fft2(f.amplitudes) * transfer))
 
@@ -85,7 +85,8 @@ def projection_after_propagation(f: SampledField, distances_um) -> np.ndarray:
     with the evanescent components stays removed.
     """
     distances = np.atleast_1d(np.asarray(distances_um, dtype=float))
-    if np.any(distances < 0):
-        raise NegativeDistance("distances must be >= 0")
+    bad = distances[~((distances >= 0) & np.isfinite(distances))]
+    if bad.size:
+        raise NegativeDistance(f"distances must be in [0, inf), got {bad[0]}")
     kz, w = _spectrum(f)
     return np.exp(1j * np.multiply.outer(distances, kz)) @ w

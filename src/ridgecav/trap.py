@@ -10,36 +10,25 @@ stays strictly inside the walls, where the potential diverges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import KB_J_PER_K
-from .errors import require_finite
+from .errors import check_fields
 
 
 @dataclass(frozen=True)
 class TrapConfig:
     """Harmonic trap frequency, atom mass, wall coefficient, gap width."""
 
-    omega_trap_2pi_kHz: float = 9.0
-    atom_mass_kg: float = 1.44316e-25
-    c4_J_m4: float = 0.0
-    gap_width_um: float = 2.0
-    z_samples: int = 201
+    omega_trap_2pi_kHz: float = field(default=9.0, metadata={"gt": 0})
+    atom_mass_kg: float = field(default=1.44316e-25, metadata={"gt": 0})
+    c4_J_m4: float = field(default=0.0, metadata={"ge": 0})
+    gap_width_um: float = field(default=2.0, metadata={"gt": 0})
+    z_samples: int = field(default=201, metadata={"ge": 101})
 
-    def __post_init__(self):
-        require_finite(self)
-        if self.omega_trap_2pi_kHz <= 0:
-            raise ValueError("omega_trap_2pi_kHz must be positive")
-        if self.atom_mass_kg <= 0:
-            raise ValueError("atom_mass_kg must be positive")
-        if self.c4_J_m4 < 0:
-            raise ValueError("c4_J_m4 must be >= 0")
-        if self.gap_width_um <= 0:
-            raise ValueError("gap_width_um must be positive")
-        if self.z_samples < 101:
-            raise ValueError("z_samples must be >= 101")
+    __post_init__ = check_fields
 
 
 def potential_profile(cfg: TrapConfig):

@@ -28,7 +28,7 @@ column ordering the eigensolver would pick by default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +36,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (EigensolveFailed, GridTooSmall, InsufficientSamples, NoGuidedMode,
-                     ZeroField, require_finite)
+                     ZeroField, check_fields)
 from .fields import GridSpec, SampledField
 from .propagation import _spectrum
 
@@ -48,32 +48,24 @@ MARGIN_UM = 4.0
 class WaveguideGeometry:
     """Ridge cross-section, layer indices and the operating wavelength."""
 
-    ridge_width_um: float = 4.0
-    ridge_height_um: float = 4.0
-    core_thickness_um: float = 4.0
-    cladding_thickness_um: float = 4.0
+    ridge_width_um: float = field(default=4.0, metadata={"gt": 0})
+    ridge_height_um: float = field(default=4.0, metadata={"gt": 0})
+    core_thickness_um: float = field(default=4.0, metadata={"gt": 0})
+    cladding_thickness_um: float = field(default=4.0, metadata={"gt": 0})
     n_core: float = 3.155
     n_clad: float = 3.145
-    n_exterior: float = 1.0
-    wavelength_nm: float = 780.0
+    n_exterior: float = field(default=1.0, metadata={"ge": 1})
+    wavelength_nm: float = field(default=780.0, metadata={"gt": 0})
 
     def __post_init__(self):
-        require_finite(self)
-        for name in (
-            "ridge_width_um",
-            "ridge_height_um",
-            "core_thickness_um",
-            "cladding_thickness_um",
-            "wavelength_nm",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.core_thickness_um > self.ridge_height_um:
-            raise ValueError("core_thickness_um cannot exceed ridge_height_um")
+        check_fields(self)
         # n_core == n_clad (zero contrast) is constructible; the solver then
         # reports NoGuidedMode instead of rejecting the geometry up front.
-        if not (self.n_core >= self.n_clad >= self.n_exterior >= 1.0):
-            raise ValueError("indices must satisfy n_core >= n_clad >= n_exterior >= 1")
+        for low, high in (("core_thickness_um", "ridge_height_um"),
+                          ("n_clad", "n_core"), ("n_exterior", "n_clad")):
+            if getattr(self, low) > getattr(self, high):
+                raise ValueError(f"{low} must be <= {high} ({getattr(self, high)}), "
+                                 f"got {getattr(self, low)}")
 
     @property
     def k0_per_um(self) -> float:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ridgecav import (
     CavitySpec,
@@ -151,6 +152,11 @@ def test_stack_validation():
         MirrorStack(layers=((0.9, 100.0),), n_incident=3.155, n_exit=1.0)
     with pytest.raises(ValueError):
         MirrorStack(layers=((1.5, -5.0),), n_incident=3.155, n_exit=1.0)
+    for layer in ((np.nan, 100.0), (np.inf, 100.0), (1.5, np.nan), (1.5, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            MirrorStack(layers=(layer,), n_incident=3.155, n_exit=1.0)
+    with pytest.raises(ValueError, match="n_exit must be >= 1, got 0.5"):
+        MirrorStack(layers=(), n_incident=3.155, n_exit=0.5)
 
 
 # --- loss fit ---------------------------------------------------------------
@@ -176,6 +182,17 @@ def test_fit_recovery_across_parameter_box(big_r, alpha):
     result = fit_losses(synth_data(big_r, alpha))
     assert result.R_fit == pytest.approx(big_r, rel=1e-6, abs=1e-8)
     assert result.alpha_fit_per_cm == pytest.approx(alpha, rel=1e-6, abs=1e-8)
+
+
+@given(
+    big_r=st.floats(0.6, 0.95),
+    alpha=st.floats(0.5, 3.0),
+    lengths=st.lists(st.floats(100.0, 2000.0), min_size=3, max_size=7, unique=True),
+)
+def test_fit_recovers_any_noiseless_parameters(big_r, alpha, lengths):
+    result = fit_losses(synth_data(big_r, alpha, lengths))
+    assert abs(result.R_fit - big_r) < 1e-8
+    assert abs(result.alpha_fit_per_cm - alpha) < 1e-8
 
 
 def test_fit_covariance_tracks_monte_carlo_scatter():

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import re
@@ -18,6 +19,7 @@ from ridgecav import (
     WaveguideGeometry,
     load_field_csv,
 )
+from ridgecav import config
 from ridgecav.cli import main
 from ridgecav.config import BudgetSettings, MirrorSettings, load_config
 
@@ -90,7 +92,7 @@ def test_non_finite_value_rejected(tmp_path, block, key, bad):
     text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M) + f"{key} = {bad}\n"
     if block == "trap" and key != "c4_J_m4":
         text += "c4_J_m4 = 1.2e-55\n"
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=rf"\[{block}\] {key} must be finite, got {bad}$"):
         load_config(write_config(tmp_path, text))
 
 
@@ -156,10 +158,12 @@ def test_invariant_violation_rejected(tmp_path):
     ("budget", "mode_area_um2", "0"),
     ("budget", "gap_amplitude", "0"),
     ("budget", "gap_amplitude", "1.5"),
+    ("gap", "n_interface", "0.5"),
+    ("gap", "series_tolerance", "1"),
 ])
 def test_out_of_range_setting_rejected_at_load(tmp_path, block, key, bad):
     text = BASE_WAVEGUIDE + f"\n[{block}]\n{key} = {bad}\n"
-    with pytest.raises(ConfigError, match=rf"\[{block}\] {key}"):
+    with pytest.raises(ConfigError, match=rf"\[{block}\] {key} must be [<>]=? \d+, got "):
         load_config(write_config(tmp_path, text))
 
 
@@ -361,12 +365,13 @@ def test_cli_phase_scan_rejects_zero_phase_steps(tmp_path, capsys):
     ("mirror", "pairs", "-1"),
     ("budget", "phase_samples", "0"),
     ("budget", "enhancement", "0.5"),
+    ("gap", "n_interface", "0.5"),
 ])
 def test_cli_budget_rejects_out_of_range_setting(tmp_path, capsys, block, key, value):
     cfg = write_config(tmp_path, BASE_WAVEGUIDE + f"\n[{block}]\n{key} = {value}\n")
     code, out, err = run_cli(capsys, "budget", cfg, "--out", str(tmp_path))
     assert code == 2
-    assert f"[{block}] {key}" in err
+    assert re.fullmatch(rf"error: \[{block}\] {key} must be >= \d+, got {value}\n", err)
     assert out == ""
 
 
@@ -530,13 +535,16 @@ def test_cli_trap_reruns_identical_files(tmp_path, capsys):
 
 
 def test_shipped_reference_config_loads():
-    import pathlib
-
-    root = pathlib.Path(__file__).resolve().parents[1]
-    cfg = load_config(root / "configs" / "reference.cfg")
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
+    cfg = load_config(path)
     assert cfg.geometry.ridge_width_um == 4.0
     assert cfg.gap.d_um == 1.96
     assert cfg.trap.gap_width_um == 2.0
+    # the file shows every key, commented-out ones included
+    shown = set(re.findall(r"^#? *(\w+) =", path.read_text(), flags=re.M))
+    keys = {f.name for cls in config._BLOCKS.values() for f in dataclasses.fields(cls)}
+    missing = keys - set(config._COMPUTED) - shown
+    assert not missing
 
 
 def test_cli_budget_full_pipeline_computes_gap_amplitude(tmp_path, capsys):

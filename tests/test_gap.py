@@ -262,6 +262,23 @@ def test_composite_phase_scan_structure(ridge_mode):
     assert 0.5 < min(sep, 2.0 * np.pi - sep) < 2.0 * np.pi - 0.5
 
 
+@pytest.mark.parametrize("d_um", [0.5, 1.96, 2.73])
+def test_round_trip_scan_spans_the_closed_form_circle(ridge_mode, d_um):
+    # phi -> r + t^2 e^(i phi) / (1 - r e^(i phi)) maps the unit circle onto
+    # the circle of centre r + t^2 conj(r) / (1 - |r|^2) and radius
+    # |t|^2 / (1 - |r|^2), so r_rt spans [||centre| - radius|, |centre| + radius]
+    cfg = GapConfig(d_um=d_um)
+    gap = gap_scattering(ridge_mode, cfg)
+    r, t = gap.r_amplitude, gap.t_amplitude
+    centre = abs(r + t * t * np.conj(r) / (1.0 - abs(r) ** 2))
+    radius = abs(t) ** 2 / (1.0 - abs(r) ** 2)
+    _, coarse = round_trip_phase_scan(ridge_mode, cfg, 360)
+    _, fine = round_trip_phase_scan(ridge_mode, cfg, 200_000)  # resolves the dip at these d
+    assert coarse.min() > abs(centre - radius) - 1e-12
+    assert coarse.max() < centre + radius + 1e-12
+    assert fine.min() - abs(centre - radius) < 1e-11
+
+
 def test_enhancement_tracks_interface_index(ridge_mode):
     cfg = GapConfig(d_um=1.96)
     phases, rrt = round_trip_phase_scan(ridge_mode, cfg, 720)
@@ -300,7 +317,7 @@ def test_gap_config_validation():
         for key in ("d_um", "n_interface", "series_tolerance"):
             with pytest.raises(ValueError, match="finite"):
                 GapConfig(**{key: bad})
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(ValueError, match="n_interface"):
         GapConfig(n_interface=0.9)
     with pytest.raises(ValueError):
         GapConfig(series_tolerance=2.0)

@@ -42,6 +42,15 @@ def test_negative_distance_rejected():
         propagate_free_space(make_gaussian(2.0), -1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_distance_rejected(bad):
+    f = make_gaussian(2.0)
+    with pytest.raises(NegativeDistance, match=f"got {bad}"):
+        propagate_free_space(f, bad)
+    with pytest.raises(NegativeDistance, match=f"got {bad}"):
+        projection_after_propagation(f, [0.5, bad])
+
+
 def test_gaussian_width_follows_diffraction_law():
     w0 = 2.0
     d = 10.0
