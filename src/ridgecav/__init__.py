@@ -29,18 +29,9 @@ from .errors import (
     ConfigError,
     EigensolveFailed,
     FitDiverged,
-    GridMismatch,
-    GridTooSmall,
-    InsufficientData,
-    InsufficientSamples,
-    InvalidIndex,
-    NegativeDistance,
     NoGuidedMode,
-    NoSolution,
-    OutOfRange,
     RidgecavError,
     SeriesNotConverged,
-    ZeroField,
 )
 from .fields import GridSpec, SampledField, load_field_csv, save_field_csv
 from .gap import (
@@ -76,24 +67,15 @@ __all__ = [
     "FitResult",
     "GapConfig",
     "GapResult",
-    "GridMismatch",
     "GridSpec",
-    "GridTooSmall",
-    "InsufficientData",
-    "InsufficientSamples",
-    "InvalidIndex",
     "MirrorStack",
     "ModeSolution",
-    "NegativeDistance",
     "NoGuidedMode",
-    "NoSolution",
-    "OutOfRange",
     "RidgecavError",
     "SampledField",
     "SeriesNotConverged",
     "TrapConfig",
     "WaveguideGeometry",
-    "ZeroField",
     "alpha_from_linewidth",
     "brute_force_gap_scattering",
     "composite_round_trip",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import C_M_PER_S
-from .errors import FitDiverged, InsufficientData, NoSolution, OutOfRange, check_fields
+from .errors import FitDiverged, check_fields, check_value
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,8 @@ class MirrorStack:
         object.__setattr__(self, "layers", tuple((float(n), float(t)) for n, t in self.layers))
         check_fields(self)
         for n, t in self.layers:
-            if not 1 <= n < np.inf:
-                raise ValueError(f"layer indices must be finite and >= 1, got {n}")
-            if not 0 < t < np.inf:
-                raise ValueError(f"layer thicknesses must be finite and > 0, got {t}")
+            check_value("layer index", n, ge=1)
+            check_value("layer thickness_nm", t, gt=0)
 
 
 @dataclass(frozen=True)
@@ -67,8 +65,7 @@ class FitResult:
 
 def finesse_from_round_trip(g_rt: float) -> float:
     """F = pi sqrt(g) / (1 - g) for a round-trip amplitude factor in (0, 1)."""
-    if not (0.0 < g_rt < 1.0):
-        raise OutOfRange(f"round-trip factor must be in (0, 1), got {g_rt}")
+    check_value("g_rt", g_rt, gt=0, lt=1)
     return float(np.pi * np.sqrt(g_rt) / (1.0 - g_rt))
 
 
@@ -91,15 +88,15 @@ def round_trip_amplitude(spec: CavitySpec) -> float:
 
 def free_spectral_range_ghz(length_um: float, n_group: float) -> float:
     """FSR = c / (2 n_g L) in GHz."""
-    if length_um <= 0 or n_group <= 0:
-        raise OutOfRange("length and group index must be positive")
+    check_value("length_um", length_um, gt=0)
+    check_value("n_group", n_group, gt=0)
     return C_M_PER_S / (2.0 * n_group * length_um * 1e-6) / 1e9
 
 
 def linewidth_ghz(finesse: float, fsr_ghz: float) -> float:
     """Resonance full width (2 kappa / 2 pi) = FSR / F in GHz."""
-    if finesse <= 0:
-        raise OutOfRange("finesse must be positive")
+    check_value("finesse", finesse, gt=0)
+    check_value("fsr_ghz", fsr_ghz)
     return fsr_ghz / finesse
 
 
@@ -111,15 +108,13 @@ def alpha_from_linewidth(width_2kappa_ghz: float, length_um: float,
     the mirror contribution: alpha = -ln(g / R) / l with both facets at
     mirror_R.
     """
-    if width_2kappa_ghz <= 0 or length_um <= 0 or n_group <= 0:
-        raise OutOfRange("width, length and group index must be positive")
-    if not (0.0 < mirror_R <= 1.0):
-        raise OutOfRange("mirror_R must be in (0, 1]")
+    check_value("width_2kappa_ghz", width_2kappa_ghz, gt=0)
+    check_value("mirror_R", mirror_R, gt=0, le=1)
     fsr = free_spectral_range_ghz(length_um, n_group)
     finesse = fsr / width_2kappa_ghz
     g = _g_from_finesse_closed_form(finesse)
     if g >= mirror_R:  # sqrt(R_L R_R) with both facets at mirror_R
-        raise NoSolution(
+        raise ValueError(
             f"implied round-trip factor {g:.6g} is not below the mirror "
             f"contribution {mirror_R:.6g}; no alpha >= 0 reproduces it"
         )
@@ -136,8 +131,7 @@ def quarter_wave_stack(pairs: int, n_high: float = 2.35, n_low: float = 1.50,
     walks the admittance down by (n_low/n_high)^2 per pair, which maximizes
     the mismatch and hence the reflectivity.
     """
-    if pairs < 0:
-        raise ValueError("pairs must be >= 0")
+    check_value("pairs", pairs, ge=0)
     layers = []
     for _ in range(pairs):
         layers.append((n_low, wavelength_nm / (4.0 * n_low)))
@@ -184,20 +178,20 @@ def fit_losses(data) -> FitResult:
 
     rows = [tuple(map(float, row)) for row in data]
     if len(rows) < 3:
-        raise InsufficientData(f"need >= 3 data points, got {len(rows)}")
+        raise ValueError(f"need >= 3 data points, got {len(rows)}")
     if not np.all(np.isfinite([v for row in rows for v in row])):
-        raise InsufficientData("lengths, finesses and sigmas must be finite")
+        raise ValueError("lengths, finesses and sigmas must be finite")
     lengths = np.array([r[0] for r in rows])
     finesses = np.array([r[1] for r in rows])
     if len(set(lengths.tolist())) < 2:
-        raise InsufficientData("need measurements at >= 2 distinct lengths")
+        raise ValueError("need measurements at >= 2 distinct lengths")
     if np.any(lengths <= 0) or np.any(finesses <= 0):
-        raise InsufficientData("lengths and finesses must be positive")
+        raise ValueError("lengths and finesses must be positive")
     sigmas = None
     if all(len(r) >= 3 for r in rows):
         sigmas = np.array([r[2] for r in rows])
         if np.any(sigmas <= 0):
-            raise InsufficientData("finesse sigmas must be positive")
+            raise ValueError("finesse sigmas must be positive")
 
     g_best = _g_from_finesse_closed_form(finesses.max())
     r0 = float(np.clip(g_best, 0.05, 0.9999))

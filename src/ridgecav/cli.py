@@ -1,7 +1,8 @@
 """Batch front end: mode solve, gap scans, loss fit, budget and trap reports.
 
-Exit codes: 0 ok, 2 input validation or an --out that cannot be written,
-3 no guided mode, 4 series convergence or a failed eigensolve, 5 fit failure.
+Exit codes: 0 ok, 2 input validation, an --out that cannot be written or
+arithmetic overflow from extreme inputs, 3 no guided mode, 4 series
+convergence or a failed eigensolve, 5 fit failure.
 Reports go to stdout as `key=value` lines; tables are written as CSV files
 under --out (written to a temporary name and renamed, so a failed run never
 leaves a partial file).  All numbers are printed with 6 significant digits,
@@ -43,7 +44,7 @@ _EXIT_CODES = (
     (NoGuidedMode, EXIT_NO_MODE),
     ((SeriesNotConverged, EigensolveFailed), EXIT_CONVERGENCE),
     (FitDiverged, EXIT_FIT),
-    ((RidgecavError, ValueError, OSError), EXIT_VALIDATION),
+    ((RidgecavError, ValueError, OSError, ArithmeticError), EXIT_VALIDATION),
 )
 
 
@@ -257,7 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RidgecavError, ValueError, OSError) as exc:
+    except (RidgecavError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 

@@ -23,7 +23,7 @@ from .cavity import (
     linewidth_ghz,
     round_trip_amplitude,
 )
-from .errors import check_fields
+from .errors import check_fields, check_value
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class CqedBudget:
 def coupling_g_MHz(mode_area_um2: float, cavity_length_um: float,
                    atom: AtomParams) -> float:
     """Single-photon Rabi frequency g/2pi in MHz for V = A * L."""
-    if mode_area_um2 <= 0 or cavity_length_um <= 0:
-        raise ValueError("mode area and cavity length must be positive")
+    check_value("mode_area_um2", mode_area_um2, gt=0)
+    check_value("cavity_length_um", cavity_length_um, gt=0)
     volume_m3 = mode_area_um2 * 1e-12 * cavity_length_um * 1e-6
     omega = 2.0 * math.pi * C_M_PER_S / (atom.transition_wavelength_nm * 1e-9)
     e_field = math.sqrt(HBAR_J_S * omega / (2.0 * EPS0_F_PER_M * volume_m3))
@@ -68,10 +68,10 @@ def coupling_g_MHz(mode_area_um2: float, cavity_length_um: float,
 def cooperativity(g_over_2pi_MHz: float, kappa_over_2pi_GHz: float,
                   gamma_over_2pi_MHz: float, enhancement: float = 1.0) -> float:
     """C = enhancement * g^2 / (kappa gamma); all rates as /2pi values."""
-    if g_over_2pi_MHz < 0 or kappa_over_2pi_GHz <= 0 or gamma_over_2pi_MHz <= 0:
-        raise ValueError("rates must be positive")
-    if enhancement < 1.0:
-        raise ValueError("enhancement must be >= 1")
+    check_value("g_over_2pi_MHz", g_over_2pi_MHz, ge=0)
+    check_value("kappa_over_2pi_GHz", kappa_over_2pi_GHz, gt=0)
+    check_value("gamma_over_2pi_MHz", gamma_over_2pi_MHz, gt=0)
+    check_value("enhancement", enhancement, ge=1)
     g_hz = g_over_2pi_MHz * 1e6
     kappa_hz = kappa_over_2pi_GHz * 1e9
     gamma_hz = gamma_over_2pi_MHz * 1e6

@@ -1,33 +1,56 @@
-"""Exception types raised by the toolkit, and the shared field check."""
+"""Exception types with an exit code of their own, and the shared domain check.
+
+An argument or setting outside its domain raises ValueError naming it;
+`check_value` holds the rule for constant bounds and finiteness.  A class
+below exists only where a caller can tell it apart by more than its message:
+ConfigError carries a line number, and every other subclass has its own
+entry in `cli._EXIT_CODES`.
+"""
 
 import dataclasses
 import math
 import operator
 
+import numpy as np
+
 _BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
            "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
 
 
+def _check(name, value, bounds) -> None:
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    for kind, bound in bounds.items():
+        holds, symbol = _BOUNDS[kind]
+        if not holds(value, bound):
+            raise ValueError(f"{name} must be {symbol} {bound}, got {value}")
+
+
+def check_value(name, value, **bounds) -> None:
+    """Reject a non-finite float, or a value outside any gt/ge/lt/le bound.
+
+    Fails as `<name> must be <op> <bound>, got <value>`, or as `<name> must
+    be finite, got <value>`.
+    """
+    _check(name, value, bounds)
+
+
 def check_fields(obj) -> None:
-    """Reject a dataclass field that is non-finite or outside its declared bounds.
+    """check_value on each set field of a dataclass, with the bounds it declares.
 
     A field declares its domain as `field(metadata={"ge": 1})`, with any of
     gt, ge, lt and le.  None (unset) passes.
     """
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        if value is None:
-            continue
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
-        for kind, bound in f.metadata.items():
-            holds, symbol = _BOUNDS[kind]
-            if not holds(value, bound):
-                raise ValueError(f"{f.name} must be {symbol} {bound}, got {value}")
+        if value is not None:
+            # metadata is a mappingproxy: unpacking it as **kwargs costs more
+            # than the whole check
+            _check(f.name, value, f.metadata)
 
 
 class RidgecavError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class of the toolkit's own errors."""
 
 
 class ConfigError(RidgecavError):
@@ -47,48 +70,12 @@ class NoGuidedMode(RidgecavError):
     """The structure supports no guided mode (largest n_eff <= n_clad)."""
 
 
-class GridTooSmall(RidgecavError):
-    """Grid window does not contain the structure or the mode tails."""
-
-
-class ZeroField(RidgecavError):
-    """Operation on a field with zero total power."""
-
-
-class InsufficientSamples(RidgecavError):
-    """Too few (wavelength, n_eff) samples for a dispersion estimate."""
-
-
-class NegativeDistance(RidgecavError):
-    """Propagation distance must be finite and non-negative."""
-
-
-class GridMismatch(RidgecavError):
-    """Fields live on different grids or wavelengths."""
-
-
-class InvalidIndex(RidgecavError):
-    """Refractive index outside the physical range (n >= 1)."""
-
-
 class SeriesNotConverged(RidgecavError):
     """Multiple-reflection series hit the term cap before the tolerance."""
 
 
 class EigensolveFailed(RidgecavError):
     """The mode's shifted operator is singular or the eigensolver did not converge."""
-
-
-class OutOfRange(RidgecavError):
-    """Scalar argument outside the operation's domain."""
-
-
-class NoSolution(RidgecavError):
-    """Inverse problem has no solution in the valid domain."""
-
-
-class InsufficientData(RidgecavError):
-    """Not enough data points to constrain the fit."""
 
 
 class FitDiverged(RidgecavError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GridMismatch, ZeroField, check_fields
+from .errors import check_fields
 
 
 def _cell_centres(n: int, step: float) -> np.ndarray:
@@ -62,7 +62,6 @@ class SampledField:
     dx_um: float = field(default=0.09375, metadata={"gt": 0})
     dy_um: float = field(default=0.09375, metadata={"gt": 0})
     wavelength_nm: float = field(default=780.0, metadata={"gt": 0})
-    medium_index: float = field(default=1.0, metadata={"ge": 1})
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -87,8 +86,8 @@ class SampledField:
 
     @property
     def wavenumber_per_um(self) -> float:
-        """k = 2 pi n / lambda in the field's medium (1/um)."""
-        return 2.0 * np.pi * self.medium_index / (self.wavelength_nm * 1e-3)
+        """Free-space k = 2 pi / lambda (1/um)."""
+        return 2.0 * np.pi / (self.wavelength_nm * 1e-3)
 
     def power(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.cell_area_um2)
@@ -97,7 +96,7 @@ class SampledField:
         """Scale to unit power."""
         p = self.power()
         if p == 0.0:
-            raise ZeroField("cannot normalize a zero field")
+            raise ValueError("cannot normalize a zero field")
         return replace(self, amplitudes=self.amplitudes / np.sqrt(p))
 
     def x_coords_um(self) -> np.ndarray:
@@ -114,7 +113,7 @@ class SampledField:
             and np.isclose(self.dy_um, other.dy_um, rtol=1e-12)
             and np.isclose(self.wavelength_nm, other.wavelength_nm, rtol=1e-12)
         ):
-            raise GridMismatch(
+            raise ValueError(
                 "fields must share grid shape, spacing and wavelength: "
                 f"({self.nx}x{self.ny}, dx={self.dx_um:g}, dy={self.dy_um:g}, "
                 f"lambda={self.wavelength_nm:g}) vs "
@@ -157,7 +156,7 @@ def save_field_csv(f: SampledField, path) -> None:
     _write_lines(path, field_to_csv_rows(f))
 
 
-def load_field_csv(path, wavelength_nm: float, medium_index: float = 1.0) -> SampledField:
+def load_field_csv(path, wavelength_nm: float) -> SampledField:
     """Read a field written by save_field_csv; grid inferred from coordinates."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.ndim == 1:
@@ -172,10 +171,4 @@ def load_field_csv(path, wavelength_nm: float, medium_index: float = 1.0) -> Sam
     dx = float((xs[-1] - xs[0]) / (nx - 1)) if nx > 1 else 1.0
     dy = float((ys[-1] - ys[0]) / (ny - 1)) if ny > 1 else 1.0
     amps = (data[:, 2] + 1j * data[:, 3]).reshape(nx, ny)
-    return SampledField(
-        amplitudes=amps,
-        dx_um=dx,
-        dy_um=dy,
-        wavelength_nm=wavelength_nm,
-        medium_index=medium_index,
-    )
+    return SampledField(amplitudes=amps, dx_um=dx, dy_um=dy, wavelength_nm=wavelength_nm)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidIndex, SeriesNotConverged, check_fields
+from .errors import SeriesNotConverged, check_fields, check_value
 from .propagation import _spectrum, _transfer_function
 from .waveguide import ModeSolution
 
@@ -85,8 +85,7 @@ def fresnel_interface(n: float):
     r = (n - 1)/(n + 1) and t = 2n/(n + 1).  The reverse transmission is
     t' = 2/(n + 1), so t * t' = 1 - r^2 and intensity is conserved.
     """
-    if n < 1:
-        raise InvalidIndex(f"interface index must be >= 1, got {n}")
+    check_value("n", n, ge=1)
     r = (n - 1.0) / (n + 1.0)
     t = 2.0 * n / (n + 1.0)
     return r, t
@@ -177,6 +176,7 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     Every segment has the same length, so one transfer function serves all
     of them; each still takes its own FFT pair and real-space overlap.
     """
+    check_value("n_bounces", n_bounces, ge=1)
     f = (mode.field if isinstance(mode, ModeSolution) else mode).normalized()
     r, _ = fresnel_interface(cfg.n_interface)
     s = np.sqrt(1.0 - r * r)
@@ -227,6 +227,7 @@ def composite_round_trip(mode, cfg: GapConfig, arm_phase_rad: float) -> float:
 
 def round_trip_phase_scan(mode, cfg: GapConfig, n_phases: int = 720):
     """(phases, r_rt) arrays over arm_phase in [0, 2 pi)."""
+    check_value("n_phases", n_phases, ge=1)
     phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
     return phases, _round_trip(gap_scattering(mode, cfg), phases)
 

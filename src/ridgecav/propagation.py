@@ -1,8 +1,8 @@
 """Free-space propagation by the angular-spectrum method and overlap integrals.
 
 A field is decomposed into plane waves with a 2-D FFT; each component is
-advanced by exp(i k_z d) with k_z = sqrt(k^2 - kx^2 - ky^2) and k the
-wavenumber in the field's medium.  Components with kx^2 + ky^2 > k^2 are
+advanced by exp(i k_z d) with k_z = sqrt(k^2 - kx^2 - ky^2) and k = 2 pi/lambda
+the free-space wavenumber.  Components with kx^2 + ky^2 > k^2 are
 evanescent and are zeroed instead of attenuated, which keeps the propagating
 part of the transfer function exactly unitary.
 """
@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import NegativeDistance, ZeroField
+from .errors import check_value
 from .fields import SampledField
 
 
@@ -31,14 +31,13 @@ def _kz_and_mask(f: SampledField):
 
 def _transfer_function(f: SampledField, distance_um: float) -> np.ndarray:
     """exp(i k_z d) on the propagating components, 0 on the evanescent ones."""
-    if not 0 <= distance_um < np.inf:
-        raise NegativeDistance(f"propagation distance must be in [0, inf), got {distance_um}")
+    check_value("distance_um", distance_um, ge=0)
     kz, mask = _kz_and_mask(f)
     return np.where(mask, np.exp(1j * kz * distance_um), 0.0)
 
 
 def propagate_free_space(f: SampledField, distance_um: float) -> SampledField:
-    """Propagate the field a finite distance d >= 0 through its homogeneous medium."""
+    """Propagate the field a finite distance d >= 0 through free space."""
     transfer = _transfer_function(f, distance_um)
     return replace(f, amplitudes=np.fft.ifft2(np.fft.fft2(f.amplitudes) * transfer))
 
@@ -49,7 +48,7 @@ def overlap(a: SampledField, b: SampledField) -> complex:
     na = np.sqrt(np.sum(np.abs(a.amplitudes) ** 2))
     nb = np.sqrt(np.sum(np.abs(b.amplitudes) ** 2))
     if na == 0.0 or nb == 0.0:
-        raise ZeroField("overlap of a zero field is undefined")
+        raise ValueError("overlap of a zero field is undefined")
     inner = np.sum(np.conj(a.amplitudes) * b.amplitudes)
     return complex(inner / (na * nb))
 
@@ -65,7 +64,7 @@ def _spectrum(f: SampledField):
     weights = np.abs(np.fft.fft2(f.amplitudes)) ** 2
     total = weights.sum()
     if total == 0.0:
-        raise ZeroField("projection of a zero field is undefined")
+        raise ValueError("projection of a zero field is undefined")
     kz_distinct, which = np.unique(kz[mask], return_inverse=True)
     return kz_distinct, np.bincount(which, weights=weights[mask]) / total
 
@@ -87,6 +86,6 @@ def projection_after_propagation(f: SampledField, distances_um) -> np.ndarray:
     distances = np.atleast_1d(np.asarray(distances_um, dtype=float))
     bad = distances[~((distances >= 0) & np.isfinite(distances))]
     if bad.size:
-        raise NegativeDistance(f"distances must be in [0, inf), got {bad[0]}")
+        raise ValueError(f"distances must be in [0, inf), got {bad[0]}")
     kz, w = _spectrum(f)
     return np.exp(1j * np.multiply.outer(distances, kz)) @ w

@@ -35,8 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (EigensolveFailed, GridTooSmall, InsufficientSamples, NoGuidedMode,
-                     ZeroField, check_fields)
+from .errors import EigensolveFailed, NoGuidedMode, check_fields, check_value
 from .fields import GridSpec, SampledField
 from .propagation import _spectrum
 
@@ -124,14 +123,14 @@ def permittivity_map(geometry: WaveguideGeometry, grid: GridSpec) -> np.ndarray:
 def _check_margins(geometry: WaveguideGeometry, grid: GridSpec) -> None:
     g = geometry
     if grid.window_x_um < g.ridge_width_um + 2 * MARGIN_UM:
-        raise GridTooSmall(
+        raise ValueError(
             f"window_x_um={grid.window_x_um:g} leaves less than {MARGIN_UM:g} um "
             f"beside the {g.ridge_width_um:g} um ridge"
         )
     y_top = grid.window_y_um / 2.0 + g.core_thickness_um / 2.0
     y_bot = -grid.window_y_um / 2.0 + g.core_thickness_um / 2.0
     if y_top < g.ridge_height_um + MARGIN_UM or y_bot > -MARGIN_UM:
-        raise GridTooSmall(
+        raise ValueError(
             f"window_y_um={grid.window_y_um:g} leaves less than {MARGIN_UM:g} um "
             "above or below the ridge"
         )
@@ -162,8 +161,8 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
     """Largest-n_eff eigenmode of the scalar Helmholtz operator.
 
     Raises NoGuidedMode when the top of the spectrum is at or below the
-    cladding light line, GridTooSmall when the window clips the ridge or
-    the solved mode has not decayed at the window edge, and EigensolveFailed
+    cladding light line, ValueError when the window clips the ridge or the
+    solved mode has not decayed at the window edge, and EigensolveFailed
     when the shifted operator is singular or ARPACK does not converge.
     """
     _check_margins(geometry, grid)
@@ -196,12 +195,12 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
     # deterministic phase: largest-|E| sample real and positive
     peak = amps.flat[np.argmax(np.abs(amps))]
     amps = amps * (np.conj(peak) / abs(peak))
+    # the profile is reused as the free-space input of the gap
     profile = SampledField(
         amplitudes=amps,
         dx_um=grid.dx_um,
         dy_um=grid.dy_um,
         wavelength_nm=geometry.wavelength_nm,
-        medium_index=1.0,  # profile is reused as the free-space input of the gap
     ).normalized()
 
     edge = max(
@@ -211,7 +210,7 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
         np.abs(profile.amplitudes[:, -1]).max(),
     )
     if edge > BOUNDARY_DECAY_LIMIT * np.abs(profile.amplitudes).max():
-        raise GridTooSmall(
+        raise ValueError(
             f"mode amplitude at the window edge is {edge:.2e} of the peak; "
             f"limit is {BOUNDARY_DECAY_LIMIT:g}"
         )
@@ -229,7 +228,7 @@ def mode_area(f: SampledField) -> float:
     intensity = np.abs(f.amplitudes) ** 2
     total = intensity.sum() * f.cell_area_um2
     if total == 0.0:
-        raise ZeroField("mode area of a zero field is undefined")
+        raise ValueError("mode area of a zero field is undefined")
     return float(total**2 / ((intensity**2).sum() * f.cell_area_um2))
 
 
@@ -240,20 +239,20 @@ def group_index(n_eff_samples) -> float:
     Three or more samples use a central difference at the middle wavelength;
     exactly two use the secant evaluated at the midpoint.
     """
-    samples = sorted((float(w), float(n)) for w, n in n_eff_samples)
+    samples = np.array(sorted((float(w), float(n)) for w, n in n_eff_samples))
     if len(samples) < 2:
-        raise InsufficientSamples("need at least 2 (wavelength, n_eff) samples")
-    wl = np.array([s[0] for s in samples])
-    ne = np.array([s[1] for s in samples])
+        raise ValueError("need at least 2 (wavelength, n_eff) samples")
+    for value in samples.flat:
+        check_value("n_eff_samples", value)
+    wl, ne = samples.T
     if np.any(np.diff(wl) == 0):
-        raise InsufficientSamples("wavelengths must be distinct")
+        raise ValueError("wavelengths must be distinct")
+    m = len(samples) // 2
     if len(samples) % 2 == 0:
-        m = len(samples) // 2
         lam = 0.5 * (wl[m - 1] + wl[m])
         n_mid = 0.5 * (ne[m - 1] + ne[m])
         slope = (ne[m] - ne[m - 1]) / (wl[m] - wl[m - 1])
     else:
-        m = len(samples) // 2
         lam = wl[m]
         n_mid = ne[m]
         slope = (ne[m + 1] - ne[m - 1]) / (wl[m + 1] - wl[m - 1])

@@ -44,7 +44,6 @@ def make_gaussian(w0_um, wavelength_nm=780.0, nx=256, window_um=24.0,
         dx_um=dx,
         dy_um=dx,
         wavelength_nm=wavelength_nm,
-        medium_index=1.0,
     )
     return f.normalized()
 

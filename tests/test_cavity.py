@@ -4,10 +4,7 @@ from hypothesis import given, strategies as st
 
 from ridgecav import (
     CavitySpec,
-    InsufficientData,
     MirrorStack,
-    NoSolution,
-    OutOfRange,
     alpha_from_linewidth,
     finesse_from_round_trip,
     fit_losses,
@@ -39,8 +36,31 @@ def test_finesse_reference_values():
 
 def test_finesse_domain():
     for bad in (0.0, 1.0, 1.2, -0.1):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError):
             finesse_from_round_trip(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, np.float32(np.inf)],
+                         ids=["nan", "inf", "float32-inf"])
+@pytest.mark.parametrize("name, call", [
+    pytest.param("g_rt", finesse_from_round_trip, id="finesse-g_rt"),
+    pytest.param("length_um", lambda x: free_spectral_range_ghz(x, 3.5), id="fsr-length"),
+    pytest.param("n_group", lambda x: free_spectral_range_ghz(330.0, x), id="fsr-n_group"),
+    pytest.param("finesse", lambda x: linewidth_ghz(x, 129.0), id="linewidth-finesse"),
+    pytest.param("fsr_ghz", lambda x: linewidth_ghz(30.0, x), id="linewidth-fsr"),
+    pytest.param("width_2kappa_ghz", lambda x: alpha_from_linewidth(x, 330.0, 3.5, 0.994),
+                 id="alpha-width"),
+    pytest.param("length_um", lambda x: alpha_from_linewidth(1.4, x, 3.5, 0.994),
+                 id="alpha-length"),
+    pytest.param("n_group", lambda x: alpha_from_linewidth(1.4, 330.0, x, 0.994),
+                 id="alpha-n_group"),
+    pytest.param("mirror_R", lambda x: alpha_from_linewidth(1.4, 330.0, 3.5, x),
+                 id="alpha-mirror_R"),
+    pytest.param("pairs", quarter_wave_stack, id="stack-pairs"),
+])
+def test_scalar_arguments_reject_non_finite(name, call, bad):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad}$"):
+        call(bad)
 
 
 def test_finesse_monotone_and_divergent():
@@ -65,7 +85,7 @@ def test_round_trip_amplitude_components():
 def test_unit_round_trip_is_rejected_by_finesse():
     g = round_trip_amplitude(CavitySpec(length_um=100.0, n_group=3.5))
     assert g == 1.0
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError):
         finesse_from_round_trip(g)
 
 
@@ -110,9 +130,9 @@ def test_alpha_from_measured_linewidth_with_ideal_mirrors():
 
 
 def test_alpha_no_solution_when_width_vanishes():
-    with pytest.raises(NoSolution):
+    with pytest.raises(ValueError):
         alpha_from_linewidth(1e-12, 330.0, 3.50, 0.994)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError):
         alpha_from_linewidth(0.0, 330.0, 3.50, 0.994)
 
 
@@ -221,9 +241,9 @@ def test_fit_weighted_branch_uses_sigmas():
 
 
 def test_fit_requires_enough_data():
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ValueError):
         fit_losses(synth_data(0.89, 1.07)[:2])
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ValueError):
         fit_losses([(260.0, 21.7), (260.0, 21.8), (260.0, 21.6)])
 
 

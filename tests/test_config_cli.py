@@ -461,6 +461,19 @@ def test_cli_budget_no_gap_intrinsic_finesse(tmp_path, capsys):
     assert "gap_round_trip_amplitude" not in values
 
 
+@pytest.mark.parametrize("block", [
+    "\n[atom]\ndipole_Cm = 1e190\n",  # g^2 overflows in the cooperativity
+    "\n[cavity]\nlength_um = 1e-320\n",  # the FSR's denominator underflows to 0
+], ids=["overflow", "zero-division"])
+def test_cli_budget_extreme_value_is_a_validation_error(tmp_path, capsys, block):
+    cfg = write_config(tmp_path, BASE_WAVEGUIDE + BUDGET_BLOCK + block)
+    code, out, err = run_cli(capsys, "budget", cfg, "--no-gap", "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_cli_budget_reruns_are_byte_identical(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_WAVEGUIDE + BUDGET_BLOCK)
     _, out1, _ = run_cli(capsys, "budget", cfg, "--out", str(tmp_path))

@@ -72,6 +72,25 @@ def test_cooperativity_invariant_under_g_kappa_scaling():
     assert cooperativity(s * 100.0, s * s * 2.0, 3.0) == pytest.approx(base, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name, call", [
+    pytest.param("mode_area_um2", lambda x: coupling_g_MHz(x, 300.0, RB), id="g-area"),
+    pytest.param("cavity_length_um", lambda x: coupling_g_MHz(9.9, x, RB), id="g-length"),
+    pytest.param("g_over_2pi_MHz", lambda x: cooperativity(x, 4.8, 3.0), id="C-g"),
+    pytest.param("kappa_over_2pi_GHz", lambda x: cooperativity(120.0, x, 3.0), id="C-kappa"),
+    pytest.param("gamma_over_2pi_MHz", lambda x: cooperativity(120.0, 4.8, x), id="C-gamma"),
+    pytest.param("enhancement", lambda x: cooperativity(120.0, 4.8, 3.0, enhancement=x),
+                 id="C-enhancement"),
+    # full_budget's area reaches the check through coupling_g_MHz
+    pytest.param("mode_area_um2", lambda x: full_budget(
+        x, CavitySpec(length_um=300.0, n_group=3.50, alpha_per_cm=1.03), 0.93, RB),
+        id="budget-area"),
+])
+def test_scalar_arguments_reject_non_finite(name, call, bad):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad}$"):
+        call(bad)
+
+
 def test_full_budget_reference_pipeline():
     spec = CavitySpec(length_um=300.0, n_group=3.50, alpha_per_cm=1.03)
     budget = full_budget(9.9, spec, 0.93, RB)

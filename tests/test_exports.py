@@ -3,6 +3,7 @@ import pathlib
 import types
 
 import ridgecav
+from ridgecav import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -38,3 +39,29 @@ def test_no_unused_module_imports():
         unused += [f"{path.relative_to(ROOT)}:{line} {name}"
                    for name, line in bound.items() if name not in used]
     assert paths and not unused
+
+
+def test_raises_use_value_error_or_an_error_class_with_its_own_exit_code():
+    # an out-of-domain input is a ValueError; a RidgecavError subclass exists
+    # only where a caller can tell it apart: ConfigError's line number, or an
+    # exit code of its own
+    classes = {
+        name: value for name, value in vars(ridgecav).items()
+        if isinstance(value, type) and issubclass(value, ridgecav.RidgecavError)
+    }
+    allowed = set(classes) | {"ValueError"}
+    bad = []
+    for path in sorted((ROOT / "src" / "ridgecav").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if not (isinstance(exc, ast.Name) and exc.id in allowed):
+                    bad.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not bad
+    own_codes = {
+        kind for kinds, code in cli._EXIT_CODES if code != cli.EXIT_VALIDATION
+        for kind in (kinds if isinstance(kinds, tuple) else (kinds,))
+    }
+    for name, cls in classes.items():
+        if name not in ("RidgecavError", "ConfigError"):
+            assert cls in own_codes, name

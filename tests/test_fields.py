@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ridgecav import GridSpec, SampledField, ZeroField, load_field_csv, save_field_csv
+from ridgecav import GridSpec, SampledField, load_field_csv, save_field_csv
 from ridgecav.fields import field_to_csv_rows
 
 
@@ -35,7 +35,7 @@ def test_field_power_and_normalization():
 
 def test_zero_field_cannot_be_normalized():
     f = SampledField(np.zeros((16, 16)), dx_um=0.5, dy_um=0.5)
-    with pytest.raises(ZeroField):
+    with pytest.raises(ValueError):
         f.normalized()
 
 
@@ -46,7 +46,7 @@ def test_field_rejects_non_finite_amplitudes():
         SampledField(amps, dx_um=0.5, dy_um=0.5)
 
 
-@pytest.mark.parametrize("name", ["dx_um", "dy_um", "wavelength_nm", "medium_index"])
+@pytest.mark.parametrize("name", ["dx_um", "dy_um", "wavelength_nm"])
 def test_field_rejects_non_finite_scalars(name):
     with pytest.raises(ValueError, match=name):
         SampledField(np.ones((16, 16)), **{name: float("nan")})

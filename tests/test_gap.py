@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from ridgecav import (
     GapConfig,
-    InvalidIndex,
     ModeSolution,
     SeriesNotConverged,
     brute_force_gap_scattering,
@@ -47,8 +46,29 @@ def test_fresnel_intensity_conserved():
 
 
 def test_fresnel_rejects_sub_unity_index():
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(ValueError):
         fresnel_interface(0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fresnel_rejects_non_finite_index(bad):
+    with pytest.raises(ValueError, match=rf"^n must be finite, got {bad}$"):
+        fresnel_interface(bad)
+
+
+@pytest.mark.parametrize("n_bounces", [0, -3])
+def test_brute_force_needs_a_bounce(n_bounces):
+    # no bounce would report R = r^2, T = 0 and the rest as loss
+    f = make_gaussian(2.0, nx=64, window_um=16.0)
+    with pytest.raises(ValueError, match=rf"^n_bounces must be >= 1, got {n_bounces}$"):
+        brute_force_gap_scattering(f, GapConfig(d_um=1.0), n_bounces)
+
+
+@pytest.mark.parametrize("n_phases", [0, -1])
+def test_phase_scan_needs_a_phase(n_phases):
+    f = make_gaussian(2.0, nx=64, window_um=16.0)
+    with pytest.raises(ValueError, match=rf"^n_phases must be >= 1, got {n_phases}$"):
+        round_trip_phase_scan(f, GapConfig(), n_phases)
 
 
 def test_zero_gap_is_transparent():

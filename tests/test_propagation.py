@@ -6,9 +6,6 @@ from hypothesis import given, strategies as st
 
 from ridgecav import (
     GapConfig,
-    GridMismatch,
-    NegativeDistance,
-    ZeroField,
     overlap,
     projection_after_propagation,
     propagate_free_space,
@@ -38,16 +35,16 @@ def test_zero_distance_is_identity():
 
 
 def test_negative_distance_rejected():
-    with pytest.raises(NegativeDistance):
+    with pytest.raises(ValueError):
         propagate_free_space(make_gaussian(2.0), -1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_distance_rejected(bad):
     f = make_gaussian(2.0)
-    with pytest.raises(NegativeDistance, match=f"got {bad}"):
+    with pytest.raises(ValueError, match=f"got {bad}"):
         propagate_free_space(f, bad)
-    with pytest.raises(NegativeDistance, match=f"got {bad}"):
+    with pytest.raises(ValueError, match=f"got {bad}"):
         projection_after_propagation(f, [0.5, bad])
 
 
@@ -143,14 +140,14 @@ def test_overlap_modulus_one_iff_proportional():
 def test_grid_mismatch_rejected():
     a = make_gaussian(2.0, nx=256)
     b = make_gaussian(2.0, nx=128)
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ValueError):
         overlap(a, b)
 
 
 def test_zero_field_overlap_rejected():
     f = make_gaussian(2.0)
     z = replace(f, amplitudes=np.zeros_like(f.amplitudes))
-    with pytest.raises(ZeroField):
+    with pytest.raises(ValueError):
         overlap(f, z)
 
 
