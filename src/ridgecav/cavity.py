@@ -12,6 +12,7 @@ c / (2 n_g l).  `fit_losses` inverts measured finesse-vs-length data for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +91,12 @@ def free_spectral_range_ghz(length_um: float, n_group: float) -> float:
     """FSR = c / (2 n_g L) in GHz."""
     check_value("length_um", length_um, gt=0)
     check_value("n_group", n_group, gt=0)
-    return C_M_PER_S / (2.0 * n_group * length_um * 1e-6) / 1e9
+    try:
+        fsr = C_M_PER_S / (2.0 * n_group * length_um * 1e-6) / 1e9
+    except ZeroDivisionError:  # the round trip underflowed to 0 m
+        fsr = math.inf
+    check_value("fsr_ghz", fsr)
+    return fsr
 
 
 def linewidth_ghz(finesse: float, fsr_ghz: float) -> float:

@@ -59,10 +59,14 @@ def coupling_g_MHz(mode_area_um2: float, cavity_length_um: float,
     check_value("mode_area_um2", mode_area_um2, gt=0)
     check_value("cavity_length_um", cavity_length_um, gt=0)
     volume_m3 = mode_area_um2 * 1e-12 * cavity_length_um * 1e-6
-    omega = 2.0 * math.pi * C_M_PER_S / (atom.transition_wavelength_nm * 1e-9)
-    e_field = math.sqrt(HBAR_J_S * omega / (2.0 * EPS0_F_PER_M * volume_m3))
-    g_rad_s = atom.dipole_Cm * e_field / HBAR_J_S
-    return g_rad_s / (2.0 * math.pi) / 1e6
+    try:
+        omega = 2.0 * math.pi * C_M_PER_S / (atom.transition_wavelength_nm * 1e-9)
+        e_field = math.sqrt(HBAR_J_S * omega / (2.0 * EPS0_F_PER_M * volume_m3))
+    except ZeroDivisionError:  # the wavelength or the mode volume underflowed to 0
+        e_field = math.inf
+    g_mhz = atom.dipole_Cm * e_field / HBAR_J_S / (2.0 * math.pi) / 1e6
+    check_value("g_over_2pi_MHz", g_mhz)
+    return g_mhz
 
 
 def cooperativity(g_over_2pi_MHz: float, kappa_over_2pi_GHz: float,
@@ -75,7 +79,12 @@ def cooperativity(g_over_2pi_MHz: float, kappa_over_2pi_GHz: float,
     g_hz = g_over_2pi_MHz * 1e6
     kappa_hz = kappa_over_2pi_GHz * 1e9
     gamma_hz = gamma_over_2pi_MHz * 1e6
-    return enhancement * g_hz**2 / (kappa_hz * gamma_hz)
+    try:
+        coop = enhancement * g_hz**2 / (kappa_hz * gamma_hz)
+    except ArithmeticError:  # g_hz**2 overflowed, or kappa_hz * gamma_hz underflowed to 0
+        coop = math.inf
+    check_value("cooperativity", coop)
+    return coop
 
 
 def full_budget(area: float, spec: CavitySpec, gap_amplitude: float | None,

@@ -21,6 +21,17 @@ The phase uses k = 2 pi/lambda (the gap medium is air), so the etalon
 resonances fall at gap widths of an integer number of half wavelengths,
 slightly shifted by the diffraction (Gouy) phase of the mode.
 
+One array pass serves a whole width scan: `_bounce_sums` and `_series` take
+one width or a 1-D array of widths, and `loss_spectrum` calls each once
+(`_bounce_sums` works through the widths in cache-sized blocks).
+Every row equals the single-width result bit for bit, because the pass
+keeps its operation order ((i k_z) d, then (r^2 z) z, then
+(w (1 - rho^N)) / (1 - rho)), takes each row's dot product through stacked
+matmul (the kernel of a 1-D a @ b; einsum and (g * z).sum round
+differently), and squares magnitudes as Python's abs(c) ** 2 does: np.hypot,
+then libm's pow (np.abs of a complex array and numpy's square each round
+differently on some inputs).  One SeriesNotConverged check covers the scan.
+
 `brute_force_gap_scattering` is an independent check: it literally bounces
 the field back and forth n_bounces times with the angular-spectrum transfer
 function of propagate_free_space and accumulates the coupled amplitudes
@@ -38,6 +49,11 @@ import numpy as np
 from .errors import SeriesNotConverged, check_fields, check_value
 from .propagation import _spectrum, _transfer_function
 from .waveguide import ModeSolution
+
+# widths x k_z per block of a scan.  The three complex buffers (256 KiB each)
+# stay in a 2 MiB L2 cache: on a 2-core Xeon the reference 271-width scan ran
+# 25-40% faster this way than as one 271 x 406 pass.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -96,9 +112,8 @@ def _spectrum_of(mode):
     return mode.spectrum if isinstance(mode, ModeSolution) else _spectrum(mode)
 
 
-def _num_terms(cfg: GapConfig) -> int:
+def _num_terms(r: float, cfg: GapConfig) -> int:
     """Terms needed before the weight |r|^(2p) drops below the tolerance."""
-    r, _ = fresnel_interface(cfg.n_interface)
     p = 0
     while r ** (2 * p) >= cfg.series_tolerance:
         p += 1
@@ -110,40 +125,98 @@ def _num_terms(cfg: GapConfig) -> int:
     return p
 
 
-def _bounce_sums(spectrum, cfg: GapConfig, d_um: float):
+def _interface(cfg: GapConfig):
+    """(r, sqrt(1 - r^2), N): derived once per public call and passed down."""
+    r, _ = fresnel_interface(cfg.n_interface)
+    return r, math.sqrt(1.0 - r * r), _num_terms(r, cfg)
+
+
+def _dot(a, b):
+    """a . b along the last axis: a 1-D a @ b, or the same kernel row by row."""
+    if a.ndim == 1:
+        return a @ b
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_sums(z, w, r: float, n_terms: int, rho=None, g=None):
+    """(S_0, S_1, S_2) of each row of z, which holds (i k_z) d on entry.
+
+    z is overwritten.  rho and g, when given, are scratch buffers of z's
+    shape, also overwritten, so a scan reuses one set for every block.
+    """
+    np.exp(z, out=z)
+    rho = np.multiply(r * r, z, out=rho)
+    rho *= z
+    if n_terms == 2:  # what rho ** 2 computes; np.power(rho, 2) rounds differently
+        g = np.square(rho, out=g)
+    else:
+        g = np.power(rho, n_terms, out=g)
+    np.subtract(1.0, g, out=g)
+    np.multiply(w, g, out=g)
+    np.subtract(1.0, rho, out=rho)
+    g /= rho
+    sum0, sum1 = g.sum(axis=-1), _dot(g, z)
+    z *= z
+    return sum0, sum1, _dot(g, z)
+
+
+def _bounce_sums(spectrum, r: float, n_terms: int, d_um):
     """S_j = sum_p r^(2p) Q((2p+j) d), p < N, for j = 0, 1, 2.
 
     Each plane wave's share is geometric in rho = r^2 z^2, z = exp(i k_z d),
     with |rho| = r^2 < 1, so it is w z^j (1 - rho^N)/(1 - rho).  t_gap uses
-    S_1, r_gap S_2 and field_enhancement all three.
+    S_1, r_gap S_2 and field_enhancement all three.  d_um is one width, or a
+    1-D array of widths that goes through in blocks of _BLOCK_ELEMENTS
+    widths x k_z; then each S_j is an array over the widths.
     """
     kz, w = spectrum
-    r, _ = fresnel_interface(cfg.n_interface)
-    z = np.exp(1j * kz * d_um)
-    rho = r * r * z * z
-    g = w * (1.0 - rho ** _num_terms(cfg)) / (1.0 - rho)
-    return g.sum(), g @ z, g @ (z * z)
+    ikz = 1j * kz
+    if not isinstance(d_um, np.ndarray):
+        return _row_sums(ikz * d_um, w, r, n_terms)
+    rows = max(1, _BLOCK_ELEMENTS // kz.size)
+    z, rho, g = (np.empty((min(rows, d_um.size), kz.size), complex) for _ in range(3))
+    sums = np.empty((3, d_um.size), complex)
+    for start in range(0, d_um.size, rows):
+        n = min(rows, d_um.size - start)
+        np.multiply.outer(d_um[start:start + n], ikz, out=z[:n])
+        sums[:, start:start + n] = _row_sums(z[:n], w, r, n_terms, rho[:n], g[:n])
+    return sums
 
 
-def _series(sums, cfg: GapConfig) -> GapResult:
-    """The GapResult of the bounce sums (S_0, S_1, S_2) of one width."""
-    r, _ = fresnel_interface(cfg.n_interface)
+def _series(sums, r: float, n_terms: int, cfg: GapConfig):
+    """(R, T, r_gap, t_gap) of the bounce sums of one width, or arrays of them for a scan."""
     s2 = 1.0 - r * r
-    t_amp = complex(s2 * sums[1])
-    r_amp = complex(r - s2 * r * sums[2])
-    R = abs(r_amp) ** 2
-    T = abs(t_amp) ** 2
-    if R + T > 1 + 1e-6:
+    t_amp = s2 * sums[1]
+    r_amp = r - s2 * r * sums[2]
+    if isinstance(r_amp, np.ndarray):
+        # |a|^2 bit for bit as abs(a) ** 2 below: np.hypot, then libm's pow
+        R, T = (np.array([h ** 2 for h in np.hypot(a.real, a.imag).tolist()])
+                for a in (r_amp, t_amp))
+        total = R + T
+        worst = total[np.argmax(total > 1 + 1e-6)]  # the first width over, if any
+    else:
+        R, T = abs(complex(r_amp)) ** 2, abs(complex(t_amp)) ** 2
+        worst = R + T
+    if worst > 1 + 1e-6:
         raise SeriesNotConverged(
-            f"R + T = {R + T:.9g} exceeds 1 after {_num_terms(cfg)} terms: "
+            f"R + T = {worst:.9g} exceeds 1 after {n_terms} terms: "
             f"series_tolerance = {cfg.series_tolerance:g} is too loose"
         )
-    return GapResult(R=R, T=T, loss=1.0 - R - T, r_amplitude=r_amp, t_amplitude=t_amp)
+    return R, T, r_amp, t_amp
+
+
+def _gap_result(spectrum, r: float, n_terms: int, cfg: GapConfig):
+    """The bounce sums at cfg.d_um and the GapResult they give."""
+    sums = _bounce_sums(spectrum, r, n_terms, cfg.d_um)
+    R, T, r_amp, t_amp = _series(sums, r, n_terms, cfg)
+    return sums, GapResult(R=R, T=T, loss=1.0 - R - T, r_amplitude=complex(r_amp),
+                           t_amplitude=complex(t_amp))
 
 
 def gap_scattering(mode, cfg: GapConfig) -> GapResult:
     """Sum the coherent multiple-reflection series for one gap width."""
-    return _series(_bounce_sums(_spectrum_of(mode), cfg, cfg.d_um), cfg)
+    r, _, n_terms = _interface(cfg)
+    return _gap_result(_spectrum_of(mode), r, n_terms, cfg)[1]
 
 
 def _check_scan(d_min_um: float, d_max_um: float, steps: int) -> None:
@@ -159,11 +232,10 @@ def loss_spectrum(mode, d_min_um: float, d_max_um: float, steps: int,
     """gap_scattering on a uniform width grid; rows of (d, R, T, loss)."""
     _check_scan(d_min_um, d_max_um, steps)
     spectrum = _spectrum_of(mode)
-    rows = []
-    for d in np.linspace(d_min_um, d_max_um, steps):
-        res = _series(_bounce_sums(spectrum, base_cfg, d), base_cfg)
-        rows.append((float(d), res.R, res.T, res.loss))
-    return rows
+    r, _, n_terms = _interface(base_cfg)
+    d = np.linspace(d_min_um, d_max_um, steps)
+    R, T, _, _ = _series(_bounce_sums(spectrum, r, n_terms, d), r, n_terms, base_cfg)
+    return list(zip(d.tolist(), R.tolist(), T.tolist(), (1.0 - R - T).tolist()))
 
 
 def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResult:
@@ -242,10 +314,8 @@ def field_enhancement(mode, cfg: GapConfig, arm_phase_rad: float) -> float:
 
         ratio = sqrt(n) (|G+| + |G-|) / (1 + r_rt).
     """
-    sum0, sum1, sum2 = _bounce_sums(_spectrum_of(mode), cfg, cfg.d_um)
-    gres = _series((sum0, sum1, sum2), cfg)
-    r, _ = fresnel_interface(cfg.n_interface)
-    s = np.sqrt(1.0 - r * r)
+    r, s, n_terms = _interface(cfg)
+    (sum0, sum1, sum2), gres = _gap_result(_spectrum_of(mode), r, n_terms, cfg)
     phase = np.exp(1j * arm_phase_rad)
     b = phase * gres.t_amplitude / (1.0 - gres.r_amplitude * phase)  # arm-side injection
     r_rt = _round_trip(gres, arm_phase_rad)

@@ -461,16 +461,19 @@ def test_cli_budget_no_gap_intrinsic_finesse(tmp_path, capsys):
     assert "gap_round_trip_amplitude" not in values
 
 
-@pytest.mark.parametrize("block", [
-    "\n[atom]\ndipole_Cm = 1e190\n",  # g^2 overflows in the cooperativity
-    "\n[cavity]\nlength_um = 1e-320\n",  # the FSR's denominator underflows to 0
-], ids=["overflow", "zero-division"])
-def test_cli_budget_extreme_value_is_a_validation_error(tmp_path, capsys, block):
+@pytest.mark.parametrize("block, quantity", [
+    ("\n[atom]\ndipole_Cm = 1e190\n", "cooperativity"),  # g_hz**2 overflows
+    ("\n[cavity]\nlength_um = 1e-320\n", "fsr_ghz"),  # 2 n_g L underflows to 0 m
+    ("\n[atom]\ngamma_half_MHz = 1e-320\n", "cooperativity"),  # printed C=inf, exit 0
+    ("\n[atom]\ntransition_wavelength_nm = 1e-320\n", "g_over_2pi_MHz"),  # omega = x / 0
+], ids=["overflow", "zero-division", "gamma-underflow", "wavelength-underflow"])
+def test_cli_budget_extreme_value_is_a_validation_error(tmp_path, capsys, block, quantity):
+    # finite values in their domains that push a result out of float range:
+    # the error names that result instead of printing errno text
     cfg = write_config(tmp_path, BASE_WAVEGUIDE + BUDGET_BLOCK + block)
     code, out, err = run_cli(capsys, "budget", cfg, "--no-gap", "--out", str(tmp_path))
     assert code == 2
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    assert err == f"error: {quantity} must be finite, got inf\n"
     assert out == ""
 
 
@@ -572,3 +575,31 @@ def test_cli_budget_full_pipeline_computes_gap_amplitude(tmp_path, capsys):
     assert 0.85 < amp < 0.95
     assert float(values["mode_area_um2"]) == pytest.approx(9.9, rel=0.20)
     assert 0.3 < float(values["C"]) < 1.3
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+REFERENCE_CFG = REPO / "configs" / "reference.cfg"
+
+
+@pytest.mark.parametrize("argv, stdout_name, csv_name", [
+    (["gap-scan"], "cmd_gap_scan.stdout", "gap_scan.csv"),
+    (["gap-scan", "--phase-scan"], "cmd_phase_scan.stdout", "phase_scan.csv"),
+    (["budget"], "cmd_budget.stdout", None),
+    (["budget", "--no-gap"], "cmd_budget_nogap.stdout", None),
+    (["trap"], "cmd_trap.stdout", "trap_profile.csv"),
+], ids=["gap-scan", "phase-scan", "budget", "budget-no-gap", "trap"])
+def test_cli_reference_artifacts_are_byte_identical(tmp_path, capsys, argv, stdout_name,
+                                                    csv_name):
+    # perfbench/reference holds each command's stdout and CSV on reference.cfg;
+    # lines naming an output path differ by directory and are skipped
+    reference = REPO / "perfbench" / "reference"
+    code, out, _ = run_cli(capsys, argv[0], str(REFERENCE_CFG), *argv[1:], "--out",
+                           str(tmp_path))
+    assert code == 0
+
+    def content(text):
+        return [line for line in text.splitlines(keepends=True) if "_csv=" not in line]
+
+    assert content(out) == content((reference / stdout_name).read_bytes().decode())
+    if csv_name:
+        assert (tmp_path / csv_name).read_bytes() == (reference / csv_name).read_bytes()

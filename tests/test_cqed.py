@@ -162,3 +162,16 @@ def test_cooperativity_argument_guards():
         cooperativity(120.0, 0.0, 3.0)
     with pytest.raises(ValueError):
         cooperativity(120.0, 4.8, 3.0, enhancement=0.5)
+
+
+@pytest.mark.parametrize("quantity, call", [
+    pytest.param("cooperativity", lambda: cooperativity(1e200, 4.8, 3.0), id="C-g-squared"),
+    pytest.param("cooperativity", lambda: cooperativity(120.0, 1e-320, 1e-320), id="C-kappa-gamma"),
+    pytest.param("g_over_2pi_MHz", lambda: coupling_g_MHz(1e-300, 300.0, RB), id="g-volume"),
+    pytest.param("fsr_ghz", lambda: free_spectral_range_ghz(1e-320, 3.5), id="fsr-length"),
+])
+def test_result_out_of_float_range_names_the_quantity(quantity, call):
+    # finite inputs in their domains whose result overflows or divides by an
+    # underflowed 0: the error names the result instead of the errno text
+    with pytest.raises(ValueError, match=rf"^{quantity} must be finite, got inf$"):
+        call()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -134,12 +136,51 @@ def test_wider_mode_diffracts_less():
 
 
 def test_loss_spectrum_rows_match_gap_scattering(ridge_mode):
-    # the batched width scan must give what one call per width gives
-    for d, R, T, loss in loss_spectrum(ridge_mode, 0.3, 3.0, 9):
-        res = gap_scattering(ridge_mode, GapConfig(d_um=d))
-        assert abs(R - res.R) < 1e-12
-        assert abs(T - res.T) < 1e-12
-        assert abs(loss - res.loss) < 1e-12
+    # the batched width scan must give bit for bit what one call per width
+    # gives: on the CLI's default 271 widths, and on 4,001 widths, which take
+    # 101 blocks (the last one short) and where squaring |r_gap| with numpy's
+    # square in place of pow would change 6 rows
+    for d_min, d_max, steps in ((0.3, 3.0, 271), (0.0, 7.0, 4001)):
+        rows = loss_spectrum(ridge_mode, d_min, d_max, steps)
+        assert [row[1:] for row in rows] == [
+            (res.R, res.T, res.loss)
+            for res in (gap_scattering(ridge_mode, GapConfig(d_um=d)) for d, *_ in rows)
+        ]
+
+
+def _rows_or_error(fn):
+    try:
+        return fn()
+    except SeriesNotConverged as exc:
+        return str(exc)
+
+
+@given(
+    w0_um=st.floats(1.0, 4.0),
+    d_min_um=st.floats(0.0, 2.5),
+    span_um=st.floats(0.01, 2.0),
+    steps=st.integers(2, 90),
+    n_interface=st.floats(1.0, 4.0),
+    log_tolerance=st.floats(-12.0, -1.0),
+)
+def test_random_scans_equal_per_width_series(w0_um, d_min_um, span_um, steps, n_interface,
+                                             log_tolerance):
+    # the scan is the per-width series bit for bit, including the first
+    # width whose loose tolerance overshoots R + T = 1; above 40 widths the
+    # 64^2 Gaussian's scan takes more than one block
+    f = make_gaussian(w0_um, nx=64)
+    cfg = GapConfig(n_interface=n_interface, series_tolerance=10.0**log_tolerance)
+    d_max_um = d_min_um + span_um
+
+    def per_width():
+        rows = []
+        for d in np.linspace(d_min_um, d_max_um, steps):
+            res = gap_scattering(f, replace(cfg, d_um=float(d)))
+            rows.append((float(d), res.R, res.T, res.loss))
+        return rows
+
+    assert _rows_or_error(lambda: loss_spectrum(f, d_min_um, d_max_um, steps, cfg)) == \
+        _rows_or_error(per_width)
 
 
 def test_degenerate_scan_range_rejected(ridge_mode):
@@ -163,6 +204,10 @@ def test_loose_tolerance_overshooting_unity_is_not_converged(ridge_mode):
     # narrow gap, where the etalon is close to resonance
     with pytest.raises(SeriesNotConverged, match="series_tolerance"):
         gap_scattering(ridge_mode, GapConfig(d_um=0.35, series_tolerance=0.01))
+    # a scan makes one check over all its widths, and names N too
+    with pytest.raises(SeriesNotConverged,
+                       match=r"exceeds 1 after 4 terms: series_tolerance = 0.01 is too loose$"):
+        loss_spectrum(ridge_mode, 0.3, 3.0, 271, GapConfig(series_tolerance=0.01))
 
 
 @given(
@@ -179,7 +224,7 @@ def test_closed_form_equals_literal_ladder_sum(w0_um, d_um, n_interface, log_tol
     f = make_gaussian(w0_um, nx=64)
     cfg = GapConfig(d_um=d_um, n_interface=n_interface, series_tolerance=10.0**log_tolerance)
     r, _ = fresnel_interface(n_interface)
-    n_terms = _num_terms(cfg)
+    n_terms = _num_terms(r, cfg)
     q = projection_after_propagation(f, d_um * np.arange(2 * n_terms + 1))
     weights = r ** (2 * np.arange(n_terms))
     s0, s1, s2 = (np.sum(weights * q[j:j + 2 * n_terms:2]) for j in range(3))

@@ -10,7 +10,7 @@ from ridgecav import (
     projection_after_propagation,
     propagate_free_space,
 )
-from ridgecav.gap import _num_terms
+from ridgecav.gap import _interface
 from conftest import make_gaussian
 
 WL_UM = 0.780
@@ -174,6 +174,6 @@ def test_distance_array_rows_match_one_dimensional_calls(ridge_mode):
 def test_projection_factors_bounded_by_one(ridge_mode):
     # every Q(k d) the gap series sums is a projection of a unit-power field
     for d in (0.5, 1.0, 1.96, 2.7):
-        n_terms = _num_terms(GapConfig(d_um=d))
+        _, _, n_terms = _interface(GapConfig(d_um=d))
         q = projection_after_propagation(ridge_mode.field, d * np.arange(2 * n_terms + 1))
         assert np.all(np.abs(q) <= 1 + 1e-9)
