@@ -78,10 +78,13 @@ def _g_from_finesse_closed_form(finesse):
 
 def round_trip_amplitude(spec: CavitySpec) -> float:
     """g = sqrt(R_left R_right) exp(-alpha l) times the gap factor if present."""
-    alpha_per_um = spec.alpha_per_cm * 1e-4
-    g = np.sqrt(spec.mirror_R_left * spec.mirror_R_right) * np.exp(
-        -alpha_per_um * spec.length_um
-    )
+    propagation = np.exp(-spec.alpha_per_cm * 1e-4 * spec.length_um)
+    if propagation == 0.0:
+        raise ValueError(
+            f"exp(-alpha l) underflows to 0 at alpha_per_cm = {spec.alpha_per_cm:g}, "
+            f"length_um = {spec.length_um:g}"
+        )
+    g = np.sqrt(spec.mirror_R_left * spec.mirror_R_right) * propagation
     if spec.gap_round_trip_amplitude is not None:
         g *= spec.gap_round_trip_amplitude
     return float(g)

@@ -34,9 +34,16 @@ differently on some inputs).  One SeriesNotConverged check covers the scan.
 
 `brute_force_gap_scattering` is an independent check: it literally bounces
 the field back and forth n_bounces times with the angular-spectrum transfer
-function of propagate_free_space and accumulates the coupled amplitudes
-interface by interface; p_max caps only the series.  `_check_scan` holds
-loss_spectrum's range check, which the CLI also runs before the mode solve.
+function of propagate_free_space and accumulates the coupled amplitudes,
+each a real-space overlap with the mode, interface by interface; p_max caps
+only the series.  The bounces run on the band-limited grid, the smallest
+power-of-two grid holding every propagating plane wave (64^2 for the 256^2
+reference mode): the crossed field has no other component, so that grid
+holds it exactly and, by Parseval's identity, its scaled overlaps are the
+fine-grid ones.  The check never forms |F|^2 weights, merges k_z or sums
+the series in closed form, so it does not become the model it checks.
+`_check_scan` holds loss_spectrum's range check, which the CLI also runs
+before the mode solve.
 """
 
 from __future__ import annotations
@@ -238,30 +245,68 @@ def loss_spectrum(mode, d_min_um: float, d_max_um: float, steps: int,
     return list(zip(d.tolist(), R.tolist(), T.tolist(), (1.0 - R - T).tolist()))
 
 
+def _band_axis(n: int, propagating: np.ndarray):
+    """The band-limited grid along one axis of n samples.
+
+    propagating marks the FFT indices where the transfer function is nonzero;
+    K is the largest |frequency index| among them.  Returns the fine-grid
+    indices of frequencies -K..K, their places in the FFT layout of a grid of
+    m samples, and m: the smallest power of two >= 2K + 1, or n if that is
+    not smaller.  Both grids span the same window, so an index keeps its k.
+    """
+    freq = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(int)
+    k = int(np.abs(freq[propagating]).max())
+    m = min(n, 1 << (2 * k).bit_length())
+    band = np.abs(freq) <= k
+    return np.flatnonzero(band), freq[band] % m, m
+
+
 def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResult:
     """Bounce the actual field across the gap and re-inject it explicitly.
 
     Cross-check for gap_scattering: the field is propagated segment by
     segment, the mode-coupled amplitude is collected at each of the
-    n_bounces interface hits, and the remainder re-enters the gap with the
-    air-side reflection -r.
+    n_bounces interface hits by a real-space overlap with the mode, and the
+    remainder re-enters the gap with the air-side reflection -r.
     Every segment has the same length, so one transfer function serves all
     of them; each still takes its own FFT pair and real-space overlap.
+
+    The bounces run on the band-limited grid (`_band_axis`): after the first
+    crossing the field holds only propagating plane waves, with frequency
+    indices in -K..K, so a grid of m >= 2K + 1 samples per axis over the
+    same window represents it exactly.  The mode's spectrum and the transfer
+    function are cropped onto it, and the mode's in-band part is the overlap
+    partner, since its out-of-band part meets only zeros.  By Parseval's
+    identity on both grids, the overlap there times (m_x m_y)/(n_x n_y) and
+    the fine cell area is the fine-grid overlap, exactly.
     """
     check_value("n_bounces", n_bounces, ge=1)
     f = (mode.field if isinstance(mode, ModeSolution) else mode).normalized()
     r, _ = fresnel_interface(cfg.n_interface)
     s = np.sqrt(1.0 - r * r)
     transfer = _transfer_function(f, cfg.d_um)
+    propagating = transfer != 0.0
+    (fx, cx, mx), (fy, cy, my) = (_band_axis(f.nx, propagating.any(axis=1)),
+                                  _band_axis(f.ny, propagating.any(axis=0)))
+
+    def crop(a: np.ndarray) -> np.ndarray:
+        out = np.zeros((mx, my), complex)
+        out[np.ix_(cx, cy)] = a[np.ix_(fx, fy)]
+        return out
+
+    spectrum = crop(np.fft.fft2(f.amplitudes))
+    transfer = crop(transfer)
+    partner = np.fft.ifft2(spectrum)  # the mode's in-band part
+    scale = (mx * my) / (f.nx * f.ny) * f.cell_area_um2
 
     def crossing(amps: np.ndarray) -> np.ndarray:
         return np.fft.ifft2(np.fft.fft2(amps) * transfer)
 
     t_amp = 0.0 + 0.0j
     r_amp = complex(r)
-    current = crossing(s * f.amplitudes)
+    current = np.fft.ifft2(s * spectrum * transfer)
     for bounce in range(n_bounces):
-        coupled = complex(np.vdot(f.amplitudes, current) * f.cell_area_um2)
+        coupled = complex(np.vdot(partner, current) * scale)
         if bounce % 2 == 0:  # at the far interface: couples out forward
             t_amp += s * coupled
         else:  # back at the input interface: couples out backward
@@ -275,8 +320,12 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
 
 
 def _round_trip(gap: GapResult, arm_phase_rad):
-    """composite_round_trip's r_rt for a scalar or an array of arm phases."""
-    phase = np.exp(1j * arm_phase_rad)
+    """composite_round_trip's r_rt as an array, for one arm phase or an array of them.
+
+    A single phase goes through the same array kernels as a scan (numpy's
+    scalar exp and abs round differently), so it equals the scan's entry.
+    """
+    phase = np.exp(1j * np.atleast_1d(arm_phase_rad))
     return np.abs(
         gap.r_amplitude + gap.t_amplitude**2 * phase / (1.0 - gap.r_amplitude * phase)
     )
@@ -294,7 +343,7 @@ def composite_round_trip(mode, cfg: GapConfig, arm_phase_rad: float) -> float:
     With a loss-free gap the scattering matrix is unitary and r_rt = 1 for
     every phase.
     """
-    return float(_round_trip(gap_scattering(mode, cfg), arm_phase_rad))
+    return float(_round_trip(gap_scattering(mode, cfg), arm_phase_rad)[0])
 
 
 def round_trip_phase_scan(mode, cfg: GapConfig, n_phases: int = 720):
@@ -318,7 +367,7 @@ def field_enhancement(mode, cfg: GapConfig, arm_phase_rad: float) -> float:
     (sum0, sum1, sum2), gres = _gap_result(_spectrum_of(mode), r, n_terms, cfg)
     phase = np.exp(1j * arm_phase_rad)
     b = phase * gres.t_amplitude / (1.0 - gres.r_amplitude * phase)  # arm-side injection
-    r_rt = _round_trip(gres, arm_phase_rad)
+    r_rt = _round_trip(gres, arm_phase_rad)[0]
 
     g_fwd = s * (sum0 + b * (-r) * sum1)
     g_bwd = s * (-r * sum2 + b * sum1)

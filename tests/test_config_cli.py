@@ -477,6 +477,21 @@ def test_cli_budget_extreme_value_is_a_validation_error(tmp_path, capsys, block,
     assert out == ""
 
 
+@pytest.mark.parametrize("line, extreme, alpha, length", [
+    ("length_um = 300.0", "length_um = 1e300", "1.03", "1e+300"),
+    ("alpha_per_cm = 1.03", "alpha_per_cm = 1e305", "1e+305", "300"),
+], ids=["long", "lossy"])
+def test_cli_budget_propagation_underflow_names_its_keys(tmp_path, capsys, line, extreme,
+                                                         alpha, length):
+    # exp(-alpha l) underflows to 0: the error names the two keys behind it
+    cfg = write_config(tmp_path, REFERENCE_CFG.read_text().replace(line, extreme))
+    code, out, err = run_cli(capsys, "budget", cfg, "--no-gap", "--out", str(tmp_path))
+    assert code == 2
+    assert err == (f"error: exp(-alpha l) underflows to 0 at alpha_per_cm = {alpha}, "
+                   f"length_um = {length}\n")
+    assert out == ""
+
+
 def test_cli_budget_reruns_are_byte_identical(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_WAVEGUIDE + BUDGET_BLOCK)
     _, out1, _ = run_cli(capsys, "budget", cfg, "--out", str(tmp_path))

@@ -275,6 +275,87 @@ def test_series_matches_bounce_model(w0_um, d_um, n_interface, log_tolerance):
     assert abs(res.t_amplitude - brute.t_amplitude) < 1e-7
 
 
+def _fine_grid_bounces(f, cfg, n_bounces):
+    """(r, t) of the literal bounce loop on f's own grid, with no crop."""
+    f = f.normalized()
+    r, _ = fresnel_interface(cfg.n_interface)
+    s = np.sqrt(1.0 - r * r)
+    transfer = propagation._transfer_function(f, cfg.d_um)
+
+    def crossing(amps):
+        return np.fft.ifft2(np.fft.fft2(amps) * transfer)
+
+    t_amp, r_amp = 0j, complex(r)
+    current = crossing(s * f.amplitudes)
+    for bounce in range(n_bounces):
+        coupled = complex(np.vdot(f.amplitudes, current) * f.cell_area_um2)
+        if bounce % 2 == 0:
+            t_amp += s * coupled
+        else:
+            r_amp += s * coupled
+        current = crossing(-r * current)
+    return r_amp, t_amp
+
+
+@pytest.mark.parametrize("d_um", [0.0, 0.5, 1.96, 3.0])
+def test_band_limited_bounces_equal_the_fine_grid_loop(ridge_mode, d_um):
+    # the reference mode bounces on 64^2 instead of 256^2; the overlaps are
+    # the fine-grid ones by Parseval, so only rounding separates the results
+    cfg = GapConfig(d_um=d_um)
+    brute = brute_force_gap_scattering(ridge_mode, cfg, n_bounces=48)
+    r_amp, t_amp = _fine_grid_bounces(ridge_mode.field, cfg, 48)
+    assert abs(brute.r_amplitude - r_amp) < 1e-13
+    assert abs(brute.t_amplitude - t_amp) < 1e-13
+
+
+# (nx, ny, window_x_um, window_y_um): crops to 64^2; already 64^2 (nothing
+# cropped); non-square with dx != dy (crops to 64 x 32); a 32^2 grid whose
+# propagating disc reaches the Nyquist frequency (nothing cropped)
+BOUNCE_GRIDS = [(128, 128, 24.0, 24.0), (64, 64, 24.0, 24.0), (128, 96, 24.0, 12.0),
+                (32, 32, 24.0, 24.0)]
+
+
+@given(
+    grid=st.sampled_from(BOUNCE_GRIDS),
+    w0_um=st.floats(1.0, 4.0),
+    offset_x_um=st.floats(-3.0, 3.0),
+    offset_y_um=st.floats(-2.0, 2.0),
+    wavelength_nm=st.floats(700.0, 900.0),
+    d_um=st.floats(0.0, 3.0),
+    n_interface=st.floats(1.0, 4.0),
+)
+def test_band_limited_bounces_equal_the_fine_grid_loop_on_gaussians(
+        grid, w0_um, offset_x_um, offset_y_um, wavelength_nm, d_um, n_interface):
+    nx, ny, wx, wy = grid
+    x = (np.arange(nx) - nx / 2 + 0.5) * (wx / nx) - offset_x_um
+    y = (np.arange(ny) - ny / 2 + 0.5) * (wy / ny) - offset_y_um
+    amps = np.exp(-(x[:, None] ** 2 + y[None, :] ** 2) / w0_um**2)  # no x mirror symmetry
+    f = SampledField(amps.astype(complex), dx_um=wx / nx, dy_um=wy / ny,
+                     wavelength_nm=wavelength_nm)
+    cfg = GapConfig(d_um=d_um, n_interface=n_interface)
+    brute = brute_force_gap_scattering(f, cfg, n_bounces=24)
+    r_amp, t_amp = _fine_grid_bounces(f, cfg, 24)
+    assert abs(brute.r_amplitude - r_amp) < 1e-12
+    assert abs(brute.t_amplitude - t_amp) < 1e-12
+
+
+def test_reference_mode_bounces_on_a_64_grid(ridge_mode, monkeypatch):
+    # the mode is transformed once at 256^2; every other transform is 64^2
+    shapes = []
+
+    def spying(transform):
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return transform(a, *args, **kwargs)
+        return spy
+
+    for name in ("fft2", "ifft2"):
+        monkeypatch.setattr(np.fft, name, spying(getattr(np.fft, name)))
+    brute_force_gap_scattering(ridge_mode, GapConfig(d_um=1.96), n_bounces=48)
+    assert shapes.count((256, 256)) == 1
+    assert shapes.count((64, 64)) == len(shapes) - 1
+
+
 @given(
     w0_um=st.floats(1.0, 4.0),
     n_interface=st.floats(1.0, 4.0),
@@ -325,6 +406,15 @@ def test_composite_phase_scan_structure(ridge_mode):
     # roughly half a fringe apart
     sep = abs(phases[np.argmax(rrt)] - phases[np.argmin(rrt)])
     assert 0.5 < min(sep, 2.0 * np.pi - sep) < 2.0 * np.pi - 0.5
+
+
+def test_single_phase_equals_its_scan_entry(ridge_mode):
+    # one arm phase goes through the scan's array kernels, so the values agree bit for bit
+    for d_um in np.linspace(0.3, 3.0, 10):
+        cfg = GapConfig(d_um=float(d_um))
+        phases, rrt = round_trip_phase_scan(ridge_mode, cfg, 360)
+        single = [composite_round_trip(ridge_mode, cfg, phase) for phase in phases]
+        assert single == rrt.tolist()
 
 
 @pytest.mark.parametrize("d_um", [0.5, 1.96, 2.73])
