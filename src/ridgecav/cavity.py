@@ -28,8 +28,8 @@ class CavitySpec:
     length_um: float = field(metadata={"gt": 0})
     n_group: float = field(metadata={"gt": 0})
     alpha_per_cm: float = field(default=0.0, metadata={"ge": 0})
-    mirror_R_left: float = field(default=1.0, metadata={"ge": 0, "le": 1})
-    mirror_R_right: float = field(default=1.0, metadata={"ge": 0, "le": 1})
+    mirror_R_left: float = field(default=1.0, metadata={"gt": 0, "le": 1})
+    mirror_R_right: float = field(default=1.0, metadata={"gt": 0, "le": 1})
     gap_round_trip_amplitude: float | None = field(default=None, metadata={"gt": 0, "le": 1})
 
     __post_init__ = check_fields

@@ -160,6 +160,8 @@ def test_invariant_violation_rejected(tmp_path):
     ("budget", "gap_amplitude", "1.5"),
     ("gap", "n_interface", "0.5"),
     ("gap", "series_tolerance", "1"),
+    ("cavity", "mirror_R_left", "0"),
+    ("cavity", "mirror_R_right", "0"),
 ])
 def test_out_of_range_setting_rejected_at_load(tmp_path, block, key, bad):
     text = BASE_WAVEGUIDE + f"\n[{block}]\n{key} = {bad}\n"
@@ -474,6 +476,18 @@ def test_cli_budget_extreme_value_is_a_validation_error(tmp_path, capsys, block,
     code, out, err = run_cli(capsys, "budget", cfg, "--no-gap", "--out", str(tmp_path))
     assert code == 2
     assert err == f"error: {quantity} must be finite, got inf\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("key", ["mirror_R_left", "mirror_R_right"])
+def test_cli_budget_rejects_zero_reflectivity_mirror(tmp_path, capsys, key):
+    # a facet with R = 0 gives no finesse: load names the mirror instead of
+    # the budget failing on the round-trip factor it zeroes
+    text = REFERENCE_CFG.read_text().replace(f"{key} = 1.0", f"{key} = 0.0")
+    cfg = write_config(tmp_path, text)
+    code, out, err = run_cli(capsys, "budget", cfg, "--no-gap", "--out", str(tmp_path))
+    assert code == 2
+    assert err == f"error: [cavity] {key} must be > 0, got 0.0\n"
     assert out == ""
 
 

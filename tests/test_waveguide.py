@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,21 @@ from ridgecav import (
     mode_area,
     solve_fundamental_mode,
 )
-from ridgecav.waveguide import permittivity_map
+from ridgecav import waveguide
+from ridgecav.waveguide import _helmholtz_matrix, permittivity_map
 from conftest import GRID, RIDGE
+
+GRID_128 = GridSpec(nx=128, ny=128, window_x_um=24.0, window_y_um=24.0)
+# a ridge much wider than the mode: the vertical structure is a symmetric slab
+WIDE_RIDGE = WaveguideGeometry(
+    ridge_width_um=24.0,
+    ridge_height_um=10.0,
+    core_thickness_um=4.0,
+    n_core=3.155,
+    n_clad=3.145,
+    wavelength_nm=780.0,
+)
+WIDE_GRID = GridSpec(nx=256, ny=128, window_x_um=32.0, window_y_um=28.0)
 
 
 def slab_n_eff_analytic(n_core, n_clad, thickness_um, wavelength_um):
@@ -52,18 +66,8 @@ def test_uniform_medium_has_no_guided_mode():
 
 
 def test_wide_ridge_matches_analytic_slab_dispersion():
-    # a ridge much wider than the mode turns the vertical structure into a
-    # symmetric slab; residual lateral confinement shifts n_eff by < 1e-4
-    geo = WaveguideGeometry(
-        ridge_width_um=24.0,
-        ridge_height_um=10.0,
-        core_thickness_um=4.0,
-        n_core=3.155,
-        n_clad=3.145,
-        wavelength_nm=780.0,
-    )
-    grid = GridSpec(nx=256, ny=128, window_x_um=32.0, window_y_um=28.0)
-    mode = solve_fundamental_mode(geo, grid)
+    # residual lateral confinement shifts n_eff from the slab's by < 1e-4
+    mode = solve_fundamental_mode(WIDE_RIDGE, WIDE_GRID)
     expected = slab_n_eff_analytic(3.155, 3.145, 4.0, 0.780)
     assert mode.n_eff == pytest.approx(expected, abs=1e-4)
 
@@ -75,15 +79,14 @@ def test_reference_ridge_mode(ridge_mode):
 
 
 def test_n_eff_monotone_in_ridge_width():
-    grid = GridSpec(nx=128, ny=128, window_x_um=24.0, window_y_um=24.0)
     n_effs = []
     for width in (4.0, 3.0, 2.0):
         geo = WaveguideGeometry(ridge_width_um=width)
-        n_effs.append(solve_fundamental_mode(geo, grid).n_eff)
+        n_effs.append(solve_fundamental_mode(geo, GRID_128).n_eff)
     assert n_effs[0] > n_effs[1] > n_effs[2]
     # narrow enough and the lateral squeeze pushes n_eff below the slab line
     with pytest.raises(NoGuidedMode):
-        solve_fundamental_mode(WaveguideGeometry(ridge_width_um=1.0), grid)
+        solve_fundamental_mode(WaveguideGeometry(ridge_width_um=1.0), GRID_128)
 
 
 @pytest.mark.parametrize("width_um", [4.0, 3.3, 4.03125, 2.71])
@@ -125,13 +128,51 @@ def _full_window_mode(geometry, grid):
 
 
 def test_half_window_solve_matches_full_window_operator():
-    grid = GridSpec(nx=128, ny=128, window_x_um=24.0, window_y_um=24.0)
-    mode = solve_fundamental_mode(RIDGE, grid)
-    beta_sq, full = _full_window_mode(RIDGE, grid)
+    mode = solve_fundamental_mode(RIDGE, GRID_128)
+    beta_sq, full = _full_window_mode(RIDGE, GRID_128)
     assert (mode.n_eff * RIDGE.k0_per_um) ** 2 == pytest.approx(beta_sq, rel=1e-12)
     amps = mode.field.amplitudes
     assert np.abs(amps.imag).max() == 0.0
     assert np.abs(amps.real - full).max() <= 1e-10 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("geometry, grid", [
+    pytest.param(RIDGE, GRID, id="reference"),
+    pytest.param(replace(RIDGE, ridge_width_um=3.2, wavelength_nm=771.0), GRID, id="3.2um-771nm"),
+    pytest.param(replace(RIDGE, ridge_width_um=4.1, wavelength_nm=797.0), GRID, id="4.1um-797nm"),
+    pytest.param(replace(RIDGE, ridge_width_um=4.8, wavelength_nm=763.0), GRID, id="4.8um-763nm"),
+    pytest.param(WIDE_RIDGE, WIDE_GRID, id="wide-ridge"),
+    pytest.param(replace(RIDGE, ridge_width_um=2.0), GRID_128, id="2um-ridge"),
+])
+def test_solved_mode_is_an_eigenpair_of_the_half_window_operator(geometry, grid):
+    # the solve measures 1.3e-16 to 3.8e-16 here, so a shorter or looser
+    # Lanczos run cannot hide behind the n_eff and area pins
+    mode = solve_fundamental_mode(geometry, grid)
+    k0 = geometry.k0_per_um
+    A = _helmholtz_matrix(permittivity_map(geometry, grid)[grid.nx // 2 :],
+                          grid.dx_um, grid.dy_um, k0)
+    v = mode.field.amplitudes[grid.nx // 2 :].ravel()
+    beta_sq = (mode.n_eff * k0) ** 2
+    assert np.linalg.norm(A @ v - beta_sq * v) <= 1e-13 * beta_sq * np.linalg.norm(v)
+
+
+def test_reference_solve_needs_fewer_shift_invert_solves_than_the_default_basis(monkeypatch):
+    # ARPACK's default 20-vector Lanczos basis takes 21 LU solves on the
+    # reference mode; the solver's 8-vector basis converges in 17
+    solves = []
+    factor = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        lu = factor(*args, **kwargs)
+
+        def solve(b):
+            solves.append(1)
+            return lu.solve(b)
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(waveguide.spla, "splu", counting_splu)
+    solve_fundamental_mode(RIDGE, GRID)
+    assert 0 < len(solves) < 21
 
 
 def test_reference_mode_is_pinned(ridge_mode):
@@ -143,6 +184,7 @@ def test_grid_doubling_convergence(ridge_mode):
     fine = solve_fundamental_mode(
         RIDGE, GridSpec(nx=512, ny=512, window_x_um=24.0, window_y_um=24.0)
     )
+    assert fine.n_eff == pytest.approx(3.1523777354910076, rel=1e-12)
     assert abs(fine.n_eff - ridge_mode.n_eff) < 1e-4
     assert abs(fine.mode_area_um2 - ridge_mode.mode_area_um2) < 0.02 * ridge_mode.mode_area_um2
 
