@@ -7,7 +7,8 @@ The round-trip amplitude factor g = sqrt(R_left R_right) exp(-alpha l)
 
 and finesse times linewidth gives back the free spectral range
 c / (2 n_g l).  `fit_losses` inverts measured finesse-vs-length data for
-(R, alpha) by damped least squares.
+(R, alpha) by a bounded Levenberg-Marquardt fit on the analytic Jacobian,
+in NumPy alone, so `ridgecav fit` never imports SciPy.
 """
 
 from __future__ import annotations
@@ -165,27 +166,76 @@ def stack_reflectivity(stack: MirrorStack, wavelength_nm: float) -> float:
     return float(abs(r) ** 2)
 
 
+# trial steps allowed before the loss fit gives up with FitDiverged
+_MAX_STEPS = 200
+_XTOL = 1e-10  # stop once a step is at most this fraction of |(R, alpha)|
+_LOWER = np.array([1e-9, 0.0])
+_UPPER = np.array([1.0 - 1e-12, np.inf])
+
+
 def _finesse_model(params, lengths_um):
+    """Finesse at each length and its Jacobian in (R, alpha).
+
+    g is clipped to [1e-12, 1 - 1e-12]; where the clip holds, the Jacobian
+    row is zero.
+    """
     big_r, alpha_per_cm = params
-    g = big_r * np.exp(-alpha_per_cm * 1e-4 * lengths_um)
-    g = np.clip(g, 1e-12, 1.0 - 1e-12)
-    return np.pi * np.sqrt(g) / (1.0 - g)
+    decay = np.exp(-alpha_per_cm * 1e-4 * lengths_um)
+    g_raw = big_r * decay
+    g = np.clip(g_raw, 1e-12, 1.0 - 1e-12)
+    # dF/dg = pi (1 + g) / (2 sqrt(g) (1 - g)^2)
+    dfdg = np.where(g == g_raw, np.pi * (1.0 + g) / (2.0 * np.sqrt(g) * (1.0 - g) ** 2), 0.0)
+    jac = np.column_stack([dfdg * decay, dfdg * g_raw * (-1e-4 * lengths_um)])
+    return np.pi * np.sqrt(g) / (1.0 - g), jac
+
+
+def _bounded_trial(x, res, jac, damping):
+    """x plus the damped Gauss-Newton step for residuals res and Jacobian jac.
+
+    The step minimises |res + jac step|^2 + |damping step|^2.  A parameter
+    the step would push past a bound is put on that bound, and the step of
+    the others is solved again with it held there.
+    """
+    trial = x.copy()
+    held = np.zeros(x.shape, bool)
+    while True:
+        free = ~held
+        rhs = -(res + jac[:, held] @ (trial[held] - x[held]))
+        a = np.vstack([jac[:, free], np.diag(damping[free])])
+        b = np.concatenate([rhs, np.zeros(free.sum())])
+        trial[free] = x[free] + np.linalg.lstsq(a, b, rcond=None)[0]
+        out = (trial < _LOWER) | (trial > _UPPER)
+        if not out.any():
+            return trial
+        trial = np.clip(trial, _LOWER, _UPPER)
+        held |= out
 
 
 def fit_losses(data) -> FitResult:
     """Fit finesse-vs-length measurements for (R, alpha).
 
-    data: iterable of (length_um, finesse) or (length_um, finesse, sigma).
-    Weighted residuals when sigmas are given, plain residuals otherwise.
-    Start values come from the data itself (R from the best point at
-    alpha = 0, alpha from the two extreme lengths), then a damped
-    least-squares refinement with relative step tolerance 1e-10.
+    data: rows that are all (length_um, finesse) or all (length_um, finesse,
+    sigma); any other row raises ValueError naming it.  Weighted residuals
+    when sigmas are given, plain residuals otherwise.  Start values come from
+    the data itself (R from the best point at alpha = 0, alpha from the two
+    extreme lengths).  A bounded Levenberg-Marquardt iteration on the
+    analytic Jacobian then refines them, with R in [1e-9, 1 - 1e-12] and
+    alpha >= 0: a step that would cross a bound puts that parameter on the
+    bound and solves for the other with it held there.  The fit stops when a
+    step is at most 1e-10 of |(R, alpha)|, taking that step only if it lowers
+    the cost, and raises FitDiverged if it has not stopped after 200 steps.
+    The covariance is (J^T J)^-1 at the solution (the pseudo-inverse when
+    J^T J is singular), scaled by the residual variance when no sigmas are
+    given.
     """
-    # imported here, not at module level: scipy.optimize is slow to import
-    # and only the fit needs it, so the other commands skip it
-    from scipy.optimize import least_squares
-
     rows = [tuple(map(float, row)) for row in data]
+    for i, row in enumerate(rows):
+        if len(row) not in (2, 3):
+            raise ValueError(f"data row {i} has {len(row)} entries; "
+                             "expected (length_um, finesse) or (length_um, finesse, sigma)")
+        if len(row) != len(rows[0]):
+            raise ValueError(f"data row {i} has {len(row)} entries but row 0 has "
+                             f"{len(rows[0])}; give a sigma on every row or on none")
     if len(rows) < 3:
         raise ValueError(f"need >= 3 data points, got {len(rows)}")
     if not np.all(np.isfinite([v for row in rows for v in row])):
@@ -196,8 +246,9 @@ def fit_losses(data) -> FitResult:
         raise ValueError("need measurements at >= 2 distinct lengths")
     if np.any(lengths <= 0) or np.any(finesses <= 0):
         raise ValueError("lengths and finesses must be positive")
-    sigmas = None
-    if all(len(r) >= 3 for r in rows):
+    weighted = len(rows[0]) == 3
+    sigmas = np.ones(len(rows))  # unweighted: plain residuals
+    if weighted:
         sigmas = np.array([r[2] for r in rows])
         if np.any(sigmas <= 0):
             raise ValueError("finesse sigmas must be positive")
@@ -213,22 +264,30 @@ def fit_losses(data) -> FitResult:
     alpha0 = float(np.clip(alpha0, 1e-6, 1e3))
 
     def residuals(params):
-        res = _finesse_model(params, lengths) - finesses
-        return res / sigmas if sigmas is not None else res
+        model, jac = _finesse_model(params, lengths)
+        return (model - finesses) / sigmas, jac / sigmas[:, None]
 
-    sol = least_squares(
-        residuals,
-        x0=[r0, alpha0],
-        bounds=([1e-9, 0.0], [1.0 - 1e-12, np.inf]),
-        xtol=1e-10,
-        ftol=1e-12,
-        gtol=1e-12,
-        max_nfev=200 * 3,
-    )
-    if not sol.success:
-        raise FitDiverged(f"least squares did not converge: {sol.message}")
+    x = np.array([r0, alpha0])
+    res, jac = residuals(x)
+    cost = res @ res
+    # tiny sigmas overflow the weighted residuals
+    check_value("the sum of squared residuals at the start values", cost)
+    lam = 1e-3
+    for _ in range(_MAX_STEPS):
+        trial = _bounded_trial(x, res, jac, np.sqrt(lam * (jac**2).sum(axis=0)))
+        converged = np.linalg.norm(trial - x) <= _XTOL * (_XTOL + np.linalg.norm(x))
+        trial_res, trial_jac = residuals(trial)
+        trial_cost = trial_res @ trial_res
+        if trial_cost < cost:
+            x, res, jac, cost = trial, trial_res, trial_jac, trial_cost
+            lam *= 0.1
+        else:
+            lam *= 10.0
+        if converged:
+            break
+    else:
+        raise FitDiverged(f"loss fit did not converge: step limit {_MAX_STEPS} reached")
 
-    jac = sol.jac
     jtj = jac.T @ jac
     rank_deficient = np.linalg.matrix_rank(jtj) < 2
     dof = max(len(rows) - 2, 1)
@@ -237,15 +296,15 @@ def fit_losses(data) -> FitResult:
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(jtj)
         rank_deficient = True
-    if sigmas is None:
-        cov = cov * (2.0 * sol.cost / dof)  # cost = 0.5 * sum(res^2)
+    if not weighted:
+        cov = cov * (cost / dof)
     sig = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return FitResult(
-        R_fit=float(sol.x[0]),
-        alpha_fit_per_cm=float(sol.x[1]),
+        R_fit=float(x[0]),
+        alpha_fit_per_cm=float(x[1]),
         sigma_R=float(sig[0]),
         sigma_alpha=float(sig[1]),
         covariance=cov,
-        residual_norm=float(np.sqrt(2.0 * sol.cost)),
+        residual_norm=float(np.sqrt(cost)),
         rank_deficient=bool(rank_deficient),
     )

@@ -41,8 +41,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import EigensolveFailed, NoGuidedMode, check_fields, check_value
 from .fields import GridSpec, SampledField
@@ -152,6 +150,8 @@ def _helmholtz_matrix(eps_half: np.ndarray, dx: float, dy: float, k0: float):
     half-column, so its coupling folds into that column's diagonal as
     +1/dx^2.  Every other edge of the window is a zero (Dirichlet) boundary.
     """
+    import scipy.sparse as sp  # here, not at module level: see solve_fundamental_mode
+
     nx, ny = eps_half.shape
     n = nx * ny
     main = -2.0 / dx**2 - 2.0 / dy**2 + k0**2 * eps_half.ravel()
@@ -174,6 +174,11 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
     solved mode has not decayed at the window edge, and EigensolveFailed
     when the shifted operator is singular or ARPACK does not converge.
     """
+    # imported here, not at module level: scipy.sparse takes about 0.25 s to
+    # import (2-core Xeon) and only the commands that solve a mode need it
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     _check_margins(geometry, grid)
     k0 = geometry.k0_per_um
     eps = permittivity_map(geometry, grid)

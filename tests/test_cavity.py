@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from scipy.optimize import least_squares
 
 from ridgecav import (
     CavitySpec,
+    FitDiverged,
     MirrorStack,
     alpha_from_linewidth,
     finesse_from_round_trip,
@@ -14,6 +16,7 @@ from ridgecav import (
     round_trip_amplitude,
     stack_reflectivity,
 )
+from ridgecav import cavity
 
 C_M_S = 2.99792e8
 
@@ -182,6 +185,14 @@ def test_stack_validation():
 # --- loss fit ---------------------------------------------------------------
 
 REF_LENGTHS = (260.0, 650.0, 1300.0)
+# fit_losses against SciPy's least_squares on noisy data, about 4x the largest
+# gaps over 2,000 seeded examples: R and alpha 5.4e-7 of their sigmas (2.7e-8
+# relative on R, 1.6e-7 /cm on alpha), the sigmas 7.8e-7 relative, the
+# residual norm 1.4e-12 relative.  least_squares stops less close to the
+# minimum on ill-conditioned data, and differentiates by finite differences.
+TOL_PARAM_IN_SIGMAS = 2e-6
+TOL_SIGMA = 3e-6
+TOL_RESIDUAL = 1e-11
 
 
 def synth_data(big_r, alpha, lengths=REF_LENGTHS):
@@ -238,6 +249,93 @@ def test_fit_weighted_branch_uses_sigmas():
     result = fit_losses(data)
     assert result.R_fit == pytest.approx(0.89, abs=1e-6)
     assert result.alpha_fit_per_cm == pytest.approx(1.07, abs=1e-6)
+
+
+def least_squares_fit(data):
+    """Reference: the loss fit as scipy.optimize.least_squares solved it.
+
+    Same start values, bounds and tolerances; the Jacobian is SciPy's
+    finite-difference one.  Returns (R, alpha, sigma_R, sigma_alpha,
+    residual_norm).
+    """
+    rows = np.array(data, dtype=float)
+    lengths, finesses = rows[:, 0], rows[:, 1]
+    sigmas = rows[:, 2] if rows.shape[1] == 3 else None
+
+    def g_of(f):
+        x = (-np.pi + np.sqrt(np.pi**2 + 4.0 * f**2)) / (2.0 * f)
+        return x * x
+
+    r0 = float(np.clip(g_of(finesses.max()), 0.05, 0.9999))
+    i_lo, i_hi = int(np.argmin(lengths)), int(np.argmax(lengths))
+    alpha0 = np.log(max(g_of(finesses[i_lo]), 1e-12) / max(g_of(finesses[i_hi]), 1e-12)) / (
+        (lengths[i_hi] - lengths[i_lo]) * 1e-4)
+    alpha0 = float(np.clip(alpha0, 1e-6, 1e3))
+
+    def residuals(params):
+        g = np.clip(params[0] * np.exp(-params[1] * 1e-4 * lengths), 1e-12, 1.0 - 1e-12)
+        res = np.pi * np.sqrt(g) / (1.0 - g) - finesses
+        return res / sigmas if sigmas is not None else res
+
+    sol = least_squares(residuals, x0=[r0, alpha0], bounds=([1e-9, 0.0], [1.0 - 1e-12, np.inf]),
+                        xtol=1e-10, ftol=1e-12, gtol=1e-12, max_nfev=600)
+    assert sol.success
+    cov = np.linalg.inv(sol.jac.T @ sol.jac)
+    if sigmas is None:
+        cov = cov * (2.0 * sol.cost / max(len(rows) - 2, 1))
+    return (*sol.x, *np.sqrt(np.diag(cov)), np.sqrt(2.0 * sol.cost))
+
+
+@given(
+    big_r=st.floats(0.6, 0.95),
+    # a negative alpha makes the finesse rise with length: the fit lands on alpha = 0
+    alpha=st.floats(-0.2, 3.0),
+    lengths=st.lists(st.integers(1, 20), min_size=3, max_size=7, unique=True),
+    # seeded 0.1-3% noise of either sign: on data the model fits exactly (equal
+    # noise at every length, say) least_squares stops early at its own floor
+    seed=st.integers(0, 2**32 - 1),
+    weighted=st.booleans(),
+)
+@example(big_r=0.89, alpha=-0.2, lengths=[2, 6, 13], seed=0, weighted=False)  # alpha = 0
+@example(big_r=0.89, alpha=1.07, lengths=[2, 6, 13], seed=0, weighted=True)
+def test_fit_matches_least_squares(big_r, alpha, lengths, seed, weighted):
+    rng = np.random.default_rng(seed)
+    data = []
+    for k in lengths:
+        f = finesse_direct(g_direct(big_r, alpha, 100.0 * k))
+        f *= 1.0 + rng.uniform(0.001, 0.03) * rng.choice((-1.0, 1.0))
+        data.append((100.0 * k, f, 0.02 * f) if weighted else (100.0 * k, f))
+    want = least_squares_fit(data)
+    got = fit_losses(data)
+    assert abs(got.R_fit - want[0]) <= TOL_PARAM_IN_SIGMAS * want[2]
+    assert abs(got.alpha_fit_per_cm - want[1]) <= TOL_PARAM_IN_SIGMAS * want[3]
+    assert got.sigma_R == pytest.approx(want[2], rel=TOL_SIGMA)
+    assert got.sigma_alpha == pytest.approx(want[3], rel=TOL_SIGMA)
+    assert got.residual_norm == pytest.approx(want[4], rel=TOL_RESIDUAL)
+    if want[1] < 1e-12:
+        assert got.alpha_fit_per_cm == 0.0
+
+
+@pytest.mark.parametrize("data, row", [
+    ([(260.0, 21.7, 0.5), (650.0, 16.9), (1300.0, 12.3, 0.5)], 1),
+    ([(260.0, 21.7), (650.0, 16.9), (1300.0, 12.3, 0.5, 0.1)], 2),
+    ([(260.0, 21.7), (650.0,), (1300.0, 12.3)], 1),
+], ids=["missing-sigma", "four-entries", "one-entry"])
+def test_fit_rejects_malformed_rows(data, row):
+    with pytest.raises(ValueError, match=f"^data row {row} "):
+        fit_losses(data)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+def test_fit_rejects_sigmas_that_overflow_the_residuals():
+    with pytest.raises(ValueError, match="start values must be finite, got inf"):
+        fit_losses([(260.0, 21.7, 1e-320), (650.0, 16.9, 0.5), (1300.0, 12.3, 0.5)])
+
+
+def test_fit_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(cavity, "_MAX_STEPS", 1)
+    with pytest.raises(FitDiverged, match="step limit 1"):
+        fit_losses(synth_data(0.89, 1.07))
 
 
 def test_fit_requires_enough_data():

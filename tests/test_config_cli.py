@@ -19,7 +19,7 @@ from ridgecav import (
     WaveguideGeometry,
     load_field_csv,
 )
-from ridgecav import config
+from ridgecav import cavity, config
 from ridgecav.cli import main
 from ridgecav.config import BudgetSettings, MirrorSettings, load_config
 
@@ -246,17 +246,40 @@ def test_cli_mode_solver_failure_exit_code(tmp_path, capsys, monkeypatch, solver
     assert not (tmp_path / "mode_field.csv").exists()
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only `fit` needs scipy.optimize, so the other commands skip its import
+def run_python(code, *args):
+    """`python -c code args` in a fresh interpreter that imports ridgecav from src/."""
     src = pathlib.Path(ridgecav.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ridgecav.cli; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    return proc.stdout
+
+
+# the scipy modules loaded, as the last line of stdout
+LIST_SCIPY = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # no scipy module at all: only the commands that solve a mode import it
+    assert run_python("import sys, ridgecav.cli; " + LIST_SCIPY).strip() == ""
+
+
+@pytest.mark.parametrize("command", ["trap", "fit", "mode"])
+def test_only_mode_solving_commands_load_scipy(tmp_path, command):
+    data = tmp_path / "finesse.csv"
+    data.write_text("length_um,finesse\n260,21.7\n650,16.9\n1300,12.3\n")
+    small = write_config(tmp_path, BASE_WAVEGUIDE + "\n[grid]\nnx = 64\nny = 64\n")
+    argv = {"trap": ["trap", str(REFERENCE_CFG), "--out", str(tmp_path)],
+            "fit": ["fit", str(data)],
+            "mode": ["mode", small, "--out", str(tmp_path)]}[command]
+    out = run_python("import sys; from ridgecav.cli import main; "
+                     "assert main(sys.argv[1:]) == 0; " + LIST_SCIPY, *argv)
+    loaded = out.splitlines()[-1].split()
+    if command == "mode":
+        assert "scipy.sparse.linalg" in loaded
+    else:
+        assert loaded == []
 
 
 def test_cli_mode_zero_contrast(tmp_path, capsys):
@@ -432,6 +455,16 @@ def test_cli_fit_bad_cell(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fit", str(data))
     assert code == 2
     assert "row 3" in err and "finesse" in err
+
+
+def test_cli_fit_that_does_not_converge_exits_5(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cavity, "_MAX_STEPS", 1)
+    data = tmp_path / "finesse.csv"
+    data.write_text("length_um,finesse\n260,21.7\n650,16.9\n1300,12.3\n")
+    code, out, err = run_cli(capsys, "fit", str(data))
+    assert code == 5
+    assert err == "error: loss fit did not converge: step limit 1 reached\n"
+    assert out == ""
 
 
 BUDGET_BLOCK = """

@@ -15,7 +15,6 @@ from ridgecav import (
     mode_area,
     solve_fundamental_mode,
 )
-from ridgecav import waveguide
 from ridgecav.waveguide import _helmholtz_matrix, permittivity_map
 from conftest import GRID, RIDGE
 
@@ -170,7 +169,7 @@ def test_reference_solve_needs_fewer_shift_invert_solves_than_the_default_basis(
             return lu.solve(b)
         return SimpleNamespace(solve=solve)
 
-    monkeypatch.setattr(waveguide.spla, "splu", counting_splu)
+    monkeypatch.setattr(spla, "splu", counting_splu)
     solve_fundamental_mode(RIDGE, GRID)
     assert 0 < len(solves) < 21
 
