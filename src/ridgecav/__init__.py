@@ -45,7 +45,7 @@ from .gap import (
     loss_spectrum,
     round_trip_phase_scan,
 )
-from .propagation import overlap, projection_after_propagation, propagate_free_space
+from .propagation import overlap, propagate_free_space
 from .trap import TrapConfig, potential_profile, trap_analysis
 from .waveguide import (
     ModeSolution,
@@ -95,7 +95,6 @@ __all__ = [
     "mode_area",
     "overlap",
     "potential_profile",
-    "projection_after_propagation",
     "propagate_free_space",
     "quarter_wave_stack",
     "round_trip_amplitude",

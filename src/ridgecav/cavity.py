@@ -163,7 +163,9 @@ def stack_reflectivity(stack: MirrorStack, wavelength_nm: float) -> float:
         m = m @ layer
     b, c = m @ np.array([1.0, stack.n_exit], dtype=complex)
     r = (stack.n_incident * b - c) / (stack.n_incident * b + c)
-    return float(abs(r) ** 2)
+    refl = float(abs(r) ** 2)
+    check_value("mirror stack reflectivity", refl)
+    return refl
 
 
 # trial steps allowed before the loss fit gives up with FitDiverged

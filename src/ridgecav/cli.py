@@ -16,6 +16,8 @@ import csv
 import os
 import sys
 
+import numpy as np
+
 from .cavity import fit_losses, quarter_wave_stack, stack_reflectivity
 from .config import load_config
 from .constants import KB_J_PER_K
@@ -257,7 +259,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a result out of float range fails with its own error: numpy's
+        # warnings would only print ahead of it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (RidgecavError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

@@ -59,7 +59,9 @@ from .waveguide import ModeSolution
 
 # widths x k_z per block of a scan.  The three complex buffers (256 KiB each)
 # stay in a 2 MiB L2 cache: on a 2-core Xeon the reference 271-width scan ran
-# 25-40% faster this way than as one 271 x 406 pass.
+# 25-40% faster this way than as one 271 x 406 pass.  The blocks also bound
+# the scan's scratch at three 40 x 406 buffers whatever the number of widths;
+# one pass would need about 19 GB at 10^6 widths.
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -93,11 +95,12 @@ class GapResult:
     q_list: tuple = field(repr=False, default=())
 
     def __post_init__(self):
-        if self.R < 0 or self.T < 0:
-            raise ValueError("R and T must be non-negative")
-        if self.R + self.T > 1 + 1e-6:
+        # written so that NaN fails every comparison
+        if not (self.R >= 0 and self.T >= 0):
+            raise ValueError(f"R and T must be non-negative, got R = {self.R}, T = {self.T}")
+        if not self.R + self.T <= 1 + 1e-6:
             raise ValueError(f"R + T = {self.R + self.T} exceeds 1")
-        if self.loss < -1e-6:
+        if not self.loss >= -1e-6:
             raise ValueError(f"loss = {self.loss} is negative")
 
 
@@ -190,8 +193,12 @@ def _bounce_sums(spectrum, r: float, n_terms: int, d_um):
     return sums
 
 
-def _series(sums, r: float, n_terms: int, cfg: GapConfig):
-    """(R, T, r_gap, t_gap) of the bounce sums of one width, or arrays of them for a scan."""
+def _series(sums, d_um, r: float, n_terms: int, cfg: GapConfig):
+    """(R, T, r_gap, t_gap) of the bounce sums at width d_um, or arrays of them for a scan.
+
+    A non-finite R + T (k_z d overflows near the float limit) is rejected,
+    naming the first width where it happens.
+    """
     s2 = 1.0 - r * r
     t_amp = s2 * sums[1]
     r_amp = r - s2 * r * sums[2]
@@ -200,10 +207,16 @@ def _series(sums, r: float, n_terms: int, cfg: GapConfig):
         R, T = (np.array([h ** 2 for h in np.hypot(a.real, a.imag).tolist()])
                 for a in (r_amp, t_amp))
         total = R + T
-        worst = total[np.argmax(total > 1 + 1e-6)]  # the first width over, if any
+        if np.isfinite(total).all():
+            i = np.argmax(total > 1 + 1e-6)  # the first width over, if any
+        else:
+            i = np.argmin(np.isfinite(total))  # the first non-finite width
+        worst, width = total[i], d_um[i]
     else:
         R, T = abs(complex(r_amp)) ** 2, abs(complex(t_amp)) ** 2
-        worst = R + T
+        worst, width = R + T, d_um
+    if not math.isfinite(worst):
+        raise ValueError(f"R + T at gap width {width:g} um must be finite, got {worst}")
     if worst > 1 + 1e-6:
         raise SeriesNotConverged(
             f"R + T = {worst:.9g} exceeds 1 after {n_terms} terms: "
@@ -215,7 +228,7 @@ def _series(sums, r: float, n_terms: int, cfg: GapConfig):
 def _gap_result(spectrum, r: float, n_terms: int, cfg: GapConfig):
     """The bounce sums at cfg.d_um and the GapResult they give."""
     sums = _bounce_sums(spectrum, r, n_terms, cfg.d_um)
-    R, T, r_amp, t_amp = _series(sums, r, n_terms, cfg)
+    R, T, r_amp, t_amp = _series(sums, cfg.d_um, r, n_terms, cfg)
     return sums, GapResult(R=R, T=T, loss=1.0 - R - T, r_amplitude=complex(r_amp),
                            t_amplitude=complex(t_amp))
 
@@ -241,7 +254,7 @@ def loss_spectrum(mode, d_min_um: float, d_max_um: float, steps: int,
     spectrum = _spectrum_of(mode)
     r, _, n_terms = _interface(base_cfg)
     d = np.linspace(d_min_um, d_max_um, steps)
-    R, T, _, _ = _series(_bounce_sums(spectrum, r, n_terms, d), r, n_terms, base_cfg)
+    R, T, _, _ = _series(_bounce_sums(spectrum, r, n_terms, d), d, r, n_terms, base_cfg)
     return list(zip(d.tolist(), R.tolist(), T.tolist(), (1.0 - R - T).tolist()))
 
 

@@ -58,7 +58,14 @@ def _spectrum(f: SampledField):
 
     Plane-wave samples that share a k_z (kx^2 + ky^2 is degenerate on the
     lattice) propagate identically, so their |F(k)|^2 are merged.  w is
-    normalized by the total power, so evanescent power stays dropped.
+    normalized by the total power, so evanescent power stays dropped.  By
+    Parseval's theorem the projection factor of the gap series is then
+
+        Q(d) = sum w exp(i k_z d) = sum_k |F(k)|^2 exp(i k_z d) / sum_k |F(k)|^2
+             = <f, P_d f> / ||f||^2,
+
+    the projection of the field propagated by propagate_free_space onto the
+    original one, not re-normalized as `overlap` would.
     """
     kz, mask = _kz_and_mask(f)
     weights = np.abs(np.fft.fft2(f.amplitudes)) ** 2
@@ -67,25 +74,3 @@ def _spectrum(f: SampledField):
         raise ValueError("projection of a zero field is undefined")
     kz_distinct, which = np.unique(kz[mask], return_inverse=True)
     return kz_distinct, np.bincount(which, weights=weights[mask]) / total
-
-
-def projection_after_propagation(f: SampledField, distances_um) -> np.ndarray:
-    """<f, P_d f> / ||f||^2 for each distance d, evaluated spectrally.
-
-    By Parseval's theorem this equals the unnormalized projection of the
-    propagated field onto the original one,
-
-        sum_k |F(k)|^2 exp(i k_z d) / sum_k |F(k)|^2,
-
-    with evanescent components dropped exactly as propagate_free_space does.
-    One FFT serves all distances.  distances_um may have any shape and the
-    result has that shape (a scalar gives a one-element array).  Unlike
-    `overlap`, the propagated field is not re-normalized, so power removed
-    with the evanescent components stays removed.
-    """
-    distances = np.atleast_1d(np.asarray(distances_um, dtype=float))
-    bad = distances[~((distances >= 0) & np.isfinite(distances))]
-    if bad.size:
-        raise ValueError(f"distances must be in [0, inf), got {bad[0]}")
-    kz, w = _spectrum(f)
-    return np.exp(1j * np.multiply.outer(distances, kz)) @ w

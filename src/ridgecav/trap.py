@@ -32,7 +32,11 @@ class TrapConfig:
 
 
 def potential_profile(cfg: TrapConfig):
-    """(z_um, U_J) arrays on an open grid inside (-d/2, d/2)."""
+    """(z_um, U_J) arrays on an open grid inside (-d/2, d/2).
+
+    A U out of float range (s^4 underflows, or the harmonic term overflows)
+    is rejected, naming the two keys that drive it.
+    """
     half_m = cfg.gap_width_um / 2.0 * 1e-6
     # skip the first and last points of a closed grid so the walls (where the
     # surface term diverges) are excluded symmetrically
@@ -45,6 +49,11 @@ def potential_profile(cfg: TrapConfig):
         - cfg.c4_J_m4 / s1**4
         - cfg.c4_J_m4 / s2**4
     )
+    if not np.isfinite(u).all():
+        raise ValueError(
+            f"trap potential U must be finite, got {u[np.argmin(np.isfinite(u))]} at "
+            f"gap_width_um = {cfg.gap_width_um}, atom_mass_kg = {cfg.atom_mass_kg}"
+        )
     return z * 1e6, u
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from ridgecav import GridSpec, SampledField, WaveguideGeometry, solve_fundamental_mode
+from ridgecav.propagation import _spectrum
 
 RIDGE = WaveguideGeometry(
     ridge_width_um=4.0,
@@ -51,3 +52,13 @@ def make_gaussian(w0_um, wavelength_nm=780.0, nx=256, window_um=24.0,
 @pytest.fixture
 def gaussian_field():
     return make_gaussian
+
+
+def q_factors(f, distances_um):
+    """Q(d) = sum w exp(i k_z d) over f's angular spectrum, for each distance.
+
+    The projection factors the gap series weights its bounces by, formed term
+    by term; the model itself sums them only in closed form.
+    """
+    kz, w = _spectrum(f)
+    return np.exp(1j * np.multiply.outer(np.asarray(distances_um, dtype=float), kz)) @ w

@@ -612,6 +612,48 @@ def test_cli_trap_reruns_identical_files(tmp_path, capsys):
     assert (tmp_path / "trap_profile.csv").read_bytes() == first
 
 
+SMALL_GRID = "\n[grid]\nnx = 64\nny = 64\n"
+TINY_SIGMA_CSV = "length_um,finesse,sigma\n260,21.7,1e-320\n650,16.9,1e-320\n1300,12.3,1e-320\n"
+
+
+@pytest.mark.parametrize("text, argv, named", [
+    pytest.param(BASE_WAVEGUIDE + SMALL_GRID + "\n[gap]\nd_um = 1.7e308\n",
+                 ["gap-scan", "--phase-scan"], "R + T at gap width 1.7e+308 um",
+                 id="phase-scan-wide-gap"),
+    pytest.param(BASE_WAVEGUIDE + SMALL_GRID,
+                 ["gap-scan", "--d-min", "0", "--d-max", "1.7e308", "--steps", "3"],
+                 "R + T at gap width 8.5e+307 um", id="gap-scan-wide-range"),
+    pytest.param(BASE_WAVEGUIDE + TRAP_BLOCK.replace("gap_width_um = 2.0", "gap_width_um = 1e-300"),
+                 ["trap"], "gap_width_um = 1e-300", id="trap-narrow-gap"),
+    pytest.param(BASE_WAVEGUIDE + TRAP_BLOCK.replace("gap_width_um = 2.0", "gap_width_um = 1e300"),
+                 ["trap"], "gap_width_um = 1e+300", id="trap-wide-gap"),
+    pytest.param(BASE_WAVEGUIDE + TRAP_BLOCK + "atom_mass_kg = 1.7e308\n",
+                 ["trap"], "atom_mass_kg = 1.7e+308", id="trap-heavy-atom"),
+    pytest.param(BASE_WAVEGUIDE.replace("n_core = 3.155", "n_core = 1.7e308") + BUDGET_BLOCK,
+                 ["budget"], "mirror stack reflectivity", id="budget-huge-index"),
+    pytest.param(BASE_WAVEGUIDE.replace("wavelength_nm = 780.0", "wavelength_nm = 1.7e308")
+                 + BUDGET_BLOCK, ["budget"], "mirror stack reflectivity",
+                 id="budget-huge-wavelength"),
+    pytest.param(TINY_SIGMA_CSV, ["fit"], "sum of squared residuals",
+                 id="fit-tiny-sigma"),
+])
+def test_cli_result_out_of_float_range_is_one_error_line(tmp_path, capsys, text, argv, named):
+    # a finite input that drives a result to NaN or inf exits 2 with one
+    # error line naming it: no numpy warning ahead of it, no NaN written
+    cfg = write_config(tmp_path, text)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [argv[0], cfg, *argv[1:]]
+    if argv[0] != "fit":
+        argv += ["--out", str(out_dir)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert named in err
+    written = out + "".join(p.read_text() for p in out_dir.glob("*.csv"))
+    assert not re.search(r"nan|inf", written, flags=re.I)
+
+
 def test_shipped_reference_config_loads():
     path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
     cfg = load_config(path)

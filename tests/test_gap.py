@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from ridgecav import (
     GapConfig,
+    GapResult,
     ModeSolution,
     SeriesNotConverged,
     brute_force_gap_scattering,
@@ -14,16 +15,22 @@ from ridgecav import (
     fresnel_interface,
     gap_scattering,
     loss_spectrum,
-    projection_after_propagation,
     round_trip_phase_scan,
 )
 from ridgecav import gap as gap_module, propagation, waveguide
 from ridgecav.fields import SampledField
 from ridgecav.gap import _num_terms
 from ridgecav.propagation import _spectrum
-from conftest import make_gaussian
+from conftest import make_gaussian, q_factors
 
 WL_UM = 0.780
+
+
+@pytest.mark.parametrize("R, T", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.0)])
+def test_gap_result_rejects_non_finite_intensities(R, T):
+    # every comparison in the check is False for NaN, so each is written to fail on it
+    with pytest.raises(ValueError):
+        GapResult(R=R, T=T, loss=1.0 - R - T, r_amplitude=0j, t_amplitude=0j)
 
 
 def test_fresnel_index_matched():
@@ -225,7 +232,7 @@ def test_closed_form_equals_literal_ladder_sum(w0_um, d_um, n_interface, log_tol
     cfg = GapConfig(d_um=d_um, n_interface=n_interface, series_tolerance=10.0**log_tolerance)
     r, _ = fresnel_interface(n_interface)
     n_terms = _num_terms(r, cfg)
-    q = projection_after_propagation(f, d_um * np.arange(2 * n_terms + 1))
+    q = q_factors(f, d_um * np.arange(2 * n_terms + 1))
     weights = r ** (2 * np.arange(n_terms))
     s0, s1, s2 = (np.sum(weights * q[j:j + 2 * n_terms:2]) for j in range(3))
     t_gap = (1 - r * r) * s1

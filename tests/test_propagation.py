@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ridgecav import (
-    GapConfig,
-    overlap,
-    projection_after_propagation,
-    propagate_free_space,
-)
+from ridgecav import GapConfig, overlap, propagate_free_space
 from ridgecav.gap import _interface
-from conftest import make_gaussian
+from conftest import make_gaussian, q_factors
 
 WL_UM = 0.780
 
@@ -44,8 +39,6 @@ def test_non_finite_distance_rejected(bad):
     f = make_gaussian(2.0)
     with pytest.raises(ValueError, match=f"got {bad}"):
         propagate_free_space(f, bad)
-    with pytest.raises(ValueError, match=f"got {bad}"):
-        projection_after_propagation(f, [0.5, bad])
 
 
 def test_gaussian_width_follows_diffraction_law():
@@ -155,25 +148,16 @@ def test_spectral_projection_equals_propagate_then_project(ridge_mode):
     f = ridge_mode.field
     cell = f.cell_area_um2
     for d in (0.0, 1.96, 7.3):
-        direct = projection_after_propagation(f, d)[0]
+        direct = q_factors(f, d)
         propagated = propagate_free_space(f, d)
         literal = np.sum(np.conj(f.amplitudes) * propagated.amplitudes) * cell
         literal /= f.power()
         assert direct == pytest.approx(literal, abs=1e-12)
 
 
-def test_distance_array_rows_match_one_dimensional_calls(ridge_mode):
-    f = ridge_mode.field
-    distances = np.array([[0.0, 1.96, 3.92, 5.88], [0.5, 7.3, 2.0, 40.0]])
-    batched = projection_after_propagation(f, distances)
-    assert batched.shape == distances.shape
-    for q_row, d_row in zip(batched, distances):
-        assert np.max(np.abs(q_row - projection_after_propagation(f, d_row))) < 1e-12
-
-
 def test_projection_factors_bounded_by_one(ridge_mode):
     # every Q(k d) the gap series sums is a projection of a unit-power field
     for d in (0.5, 1.0, 1.96, 2.7):
         _, _, n_terms = _interface(GapConfig(d_um=d))
-        q = projection_after_propagation(ridge_mode.field, d * np.arange(2 * n_terms + 1))
+        q = q_factors(ridge_mode.field, d * np.arange(2 * n_terms + 1))
         assert np.all(np.abs(q) <= 1 + 1e-9)

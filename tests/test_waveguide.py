@@ -29,6 +29,8 @@ WIDE_RIDGE = WaveguideGeometry(
     wavelength_nm=780.0,
 )
 WIDE_GRID = GridSpec(nx=256, ny=128, window_x_um=32.0, window_y_um=28.0)
+# 0.1 um cells: every index step of the reference ridge lies on a cell face
+FACE_GRID = GridSpec(nx=256, ny=256, window_x_um=25.6, window_y_um=25.6)
 
 
 def slab_n_eff_analytic(n_core, n_clad, thickness_um, wavelength_um):
@@ -135,21 +137,27 @@ def test_half_window_solve_matches_full_window_operator():
     assert np.abs(amps.real - full).max() <= 1e-10 * np.abs(full).max()
 
 
-@pytest.mark.parametrize("geometry, grid", [
-    pytest.param(RIDGE, GRID, id="reference"),
-    pytest.param(replace(RIDGE, ridge_width_um=3.2, wavelength_nm=771.0), GRID, id="3.2um-771nm"),
-    pytest.param(replace(RIDGE, ridge_width_um=4.1, wavelength_nm=797.0), GRID, id="4.1um-797nm"),
-    pytest.param(replace(RIDGE, ridge_width_um=4.8, wavelength_nm=763.0), GRID, id="4.8um-763nm"),
-    pytest.param(WIDE_RIDGE, WIDE_GRID, id="wide-ridge"),
-    pytest.param(replace(RIDGE, ridge_width_um=2.0), GRID_128, id="2um-ridge"),
+@pytest.mark.parametrize("geometry, grid, columns", [
+    pytest.param(RIDGE, GRID, 3, id="reference"),
+    pytest.param(replace(RIDGE, ridge_width_um=3.2, wavelength_nm=771.0), GRID, 3,
+                 id="3.2um-771nm"),
+    pytest.param(replace(RIDGE, ridge_width_um=4.1, wavelength_nm=797.0), GRID, 3,
+                 id="4.1um-797nm"),
+    pytest.param(replace(RIDGE, ridge_width_um=4.8, wavelength_nm=763.0), GRID, 3,
+                 id="4.8um-763nm"),
+    pytest.param(WIDE_RIDGE, WIDE_GRID, 2, id="wide-ridge"),
+    pytest.param(replace(RIDGE, ridge_width_um=2.0), GRID_128, 3, id="2um-ridge"),
+    pytest.param(RIDGE, FACE_GRID, 2, id="edges-on-cell-faces"),
 ])
-def test_solved_mode_is_an_eigenpair_of_the_half_window_operator(geometry, grid):
+def test_solved_mode_is_an_eigenpair_of_the_half_window_operator(geometry, grid, columns):
     # the solve measures 1.3e-16 to 3.8e-16 here, so a shorter or looser
     # Lanczos run cannot hide behind the n_eff and area pins
     mode = solve_fundamental_mode(geometry, grid)
     k0 = geometry.k0_per_um
-    A = _helmholtz_matrix(permittivity_map(geometry, grid)[grid.nx // 2 :],
-                          grid.dx_um, grid.dy_um, k0)
+    eps = permittivity_map(geometry, grid)
+    # inside and outside the mesa, plus the column a ridge edge cuts, if any
+    assert len(np.unique(eps, axis=0)) == columns
+    A = _helmholtz_matrix(eps[grid.nx // 2 :], grid.dx_um, grid.dy_um, k0)
     v = mode.field.amplitudes[grid.nx // 2 :].ravel()
     beta_sq = (mode.n_eff * k0) ** 2
     assert np.linalg.norm(A @ v - beta_sq * v) <= 1e-13 * beta_sq * np.linalg.norm(v)
