@@ -199,7 +199,7 @@ def cmd_trap(args) -> int:
     ]
     out_csv = os.path.join(args.out, "trap_profile.csv")
     _write_lines(out_csv, lines)
-    result = trap_analysis(trap_cfg)
+    result = trap_analysis(z_um, u_J)
     print(f"profile_csv={out_csv}")
     print(f"has_minimum={'true' if result['has_minimum'] else 'false'}")
     print(f"barrier_uK={_fmt(result['barrier_height_uK'])}")

@@ -75,7 +75,7 @@ class SeriesNotConverged(RidgecavError):
 
 
 class EigensolveFailed(RidgecavError):
-    """The mode's shifted operator is singular or the eigensolver did not converge."""
+    """The Lanczos eigensolve for the mode did not converge within its step cap."""
 
 
 class FitDiverged(RidgecavError):

@@ -123,13 +123,21 @@ class SampledField:
 
 
 def field_to_csv_rows(f: SampledField):
-    """Yield CSV lines `x_um,y_um,re,im`, row-major (x outer, y inner)."""
+    """Yield CSV lines `x_um,y_um,re,im`, row-major (x outer, y inner).
+
+    Each distinct amplitude value is formatted once.  Values are told apart
+    by their bit pattern, so -0.0 keeps its own text (`-0`).
+    """
     xs = [f"{x:.6g}" for x in f.x_coords_um()]
     ys = [f"{y:.6g}" for y in f.y_coords_um()]
+    parts = np.stack([f.amplitudes.real, f.amplitudes.imag])
+    bits, index = np.unique(parts.view(np.uint64).ravel(), return_inverse=True)
+    text = np.array(["%.6g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    re_text, im_text = text[index.reshape(parts.shape)]
     yield "x_um,y_um,re,im"
-    for x, re_row, im_row in zip(xs, f.amplitudes.real.tolist(), f.amplitudes.imag.tolist()):
+    for x, re_row, im_row in zip(xs, re_text.tolist(), im_text.tolist()):
         for y, re, im in zip(ys, re_row, im_row):
-            yield f"{x},{y},{re:.6g},{im:.6g}"
+            yield f"{x},{y},{re},{im}"
 
 
 def _write_lines(path, lines) -> None:

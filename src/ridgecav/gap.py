@@ -181,16 +181,23 @@ def _bounce_sums(spectrum, r: float, n_terms: int, d_um):
     """
     kz, w = spectrum
     ikz = 1j * kz
-    if not isinstance(d_um, np.ndarray):
-        return _row_sums(ikz * d_um, w, r, n_terms)
-    rows = max(1, _BLOCK_ELEMENTS // kz.size)
-    z, rho, g = (np.empty((min(rows, d_um.size), kz.size), complex) for _ in range(3))
-    sums = np.empty((3, d_um.size), complex)
-    for start in range(0, d_um.size, rows):
-        n = min(rows, d_um.size - start)
-        np.multiply.outer(d_um[start:start + n], ikz, out=z[:n])
-        sums[:, start:start + n] = _row_sums(z[:n], w, r, n_terms, rho[:n], g[:n])
-    return sums
+    # k_z d can overflow near the float limit; _series rejects the NaN it leaves
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not isinstance(d_um, np.ndarray):
+            return _row_sums(ikz * d_um, w, r, n_terms)
+        rows = max(1, _BLOCK_ELEMENTS // kz.size)
+        z, rho, g = (np.empty((min(rows, d_um.size), kz.size), complex) for _ in range(3))
+        sums = np.empty((3, d_um.size), complex)
+        for start in range(0, d_um.size, rows):
+            n = min(rows, d_um.size - start)
+            np.multiply.outer(d_um[start:start + n], ikz, out=z[:n])
+            sums[:, start:start + n] = _row_sums(z[:n], w, r, n_terms, rho[:n], g[:n])
+        return sums
+
+
+def _check_finite(total: float, d_um: float) -> None:
+    if not math.isfinite(total):
+        raise ValueError(f"R + T at gap width {d_um:g} um must be finite, got {total}")
 
 
 def _series(sums, d_um, r: float, n_terms: int, cfg: GapConfig):
@@ -215,8 +222,7 @@ def _series(sums, d_um, r: float, n_terms: int, cfg: GapConfig):
     else:
         R, T = abs(complex(r_amp)) ** 2, abs(complex(t_amp)) ** 2
         worst, width = R + T, d_um
-    if not math.isfinite(worst):
-        raise ValueError(f"R + T at gap width {width:g} um must be finite, got {worst}")
+    _check_finite(worst, width)
     if worst > 1 + 1e-6:
         raise SeriesNotConverged(
             f"R + T = {worst:.9g} exceeds 1 after {n_terms} terms: "
@@ -297,7 +303,9 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     f = (mode.field if isinstance(mode, ModeSolution) else mode).normalized()
     r, _ = fresnel_interface(cfg.n_interface)
     s = np.sqrt(1.0 - r * r)
-    transfer = _transfer_function(f, cfg.d_um)
+    # k_z d can overflow near the float limit; the NaN it leaves is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        transfer = _transfer_function(f, cfg.d_um)
     propagating = transfer != 0.0
     (fx, cx, mx), (fy, cy, my) = (_band_axis(f.nx, propagating.any(axis=1)),
                                   _band_axis(f.ny, propagating.any(axis=0)))
@@ -327,6 +335,7 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
         current = crossing(-r * current)
     R = abs(r_amp) ** 2
     T = abs(t_amp) ** 2
+    _check_finite(R + T, cfg.d_um)
     return GapResult(
         R=R, T=T, loss=1.0 - R - T, r_amplitude=r_amp, t_amplitude=t_amp
     )

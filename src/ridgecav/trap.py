@@ -57,15 +57,15 @@ def potential_profile(cfg: TrapConfig):
     return z * 1e6, u
 
 
-def trap_analysis(cfg: TrapConfig) -> dict:
+def trap_analysis(z_um, u) -> dict:
     """Locate the trap minimum and its confining barrier, if any.
 
-    Returns has_minimum, barrier_height_J, barrier_height_uK, min_position_um.
+    Takes the (z_um, U_J) profile that potential_profile returns.  Returns
+    has_minimum, barrier_height_J, barrier_height_uK, min_position_um.
     The barrier is measured from the local minimum to the lower of the two
     outermost interior maxima (for a pure harmonic profile these are the
     wall-adjacent samples).
     """
-    z_um, u = potential_profile(cfg)
     n = len(u)
     interior = np.arange(1, n - 1)
     local_min = interior[(u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:])]

@@ -10,8 +10,7 @@ the slab (the substrate is outside the model, and the mode has decayed to
 grid window is centered on the core center (y = core_thickness/2).
 
 The fundamental mode is the largest-eigenvalue pair of the transverse scalar
-Helmholtz operator d2/dx2 + d2/dy2 + k0^2 n(x,y)^2, found by a sparse
-shift-and-invert eigensolve targeted at k0^2 n_core^2.  Cell permittivities
+Helmholtz operator d2/dx2 + d2/dy2 + k0^2 n(x,y)^2.  Cell permittivities
 are area-averaged over the material rectangles.  That does not make the grid
 convergence second order.  On the reference ridge and 24 um window, n_eff
 changes by -1.5e-4, +8.9e-5, -4.3e-6 and +9.9e-6 from 64^2 to 1024^2: not
@@ -23,21 +22,18 @@ at 256^2 carries a grid error of about 1e-5.
 The ridge is centred at x = 0 and the cell-centred grid is mirror-symmetric
 about it, so the permittivity map is exactly even in x.  The fundamental
 mode, the nodeless top eigenvector of this symmetric operator, is then even
-too.  The operator is therefore assembled on the x >= 0 half-window only
+too.  The eigenproblem is therefore posed on the x >= 0 half-window only
 (half the unknowns), with the mirror image folded into the first
 half-column, and the solved half is unfolded into the full-window field.
-The shifted operator is factored once with a minimum-degree ordering of
-A^T + A, which suits its symmetric pattern and fills in much less than the
-column ordering the eigensolver would pick by default.  SuperLU runs with
-relax=1 and panel_size=1: the ordering and the fill stay the same (1.6 M
-L+U nonzeros at 256^2) and only the supernode partition shrinks.  On a
-2-core Xeon that cut the 256^2 factorization from about 0.10 to 0.07 s and,
-at 512^2, one solve's peak RSS from 214 to 180 MiB.  The Lanczos basis holds
-8 vectors instead of ARPACK's default 20: the reference mode converges in 17
-shift-invert solves instead of 21, with the same eigenvalue bit for bit at
-256^2 and 512^2.  Against the default settings, rows of `mode_field.csv`
-above 1e-6 of the peak are byte-identical and the rest move by at most
-2.2e-13 of the peak, ARPACK's noise floor.
+Each half-window column lies inside the mesa, outside it, or is the one
+column the ridge edge cuts, so A - sigma I (sigma = k0^2 n_core^2) is block
+tridiagonal in x with two repeated diagonal blocks.  `_shift_invert` applies
+its inverse by block elimination in the eigenbases of those two blocks, and
+`_lanczos` finds the largest eigenvalue of that inverse.  Both use NumPy
+alone.  On a 2-core Xeon with one BLAS thread the reference ridge takes 16
+Lanczos steps and about 0.06 s at 256^2 and 0.3 s at 512^2, against 0.15 s
+and 1.1 s for a sparse LU with ARPACK; n_eff agrees with that solver within
+3e-16 relative and the profile within 1e-13 of the peak.
 """
 
 from __future__ import annotations
@@ -53,6 +49,8 @@ from .propagation import _spectrum
 
 BOUNDARY_DECAY_LIMIT = 1e-3
 MARGIN_UM = 4.0
+# Lanczos step cap: 3-5 um ridges take 15-18 steps, a 0.05 um ridge (edge in column 0) 36
+_LANCZOS_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -107,29 +105,38 @@ def _coverage(low, high, a, b):
     )
 
 
+def _permittivity_factors(geometry: WaveguideGeometry, grid: GridSpec):
+    """Mesa coverage fx of each x cell, and the n^2 profiles in y inside and outside it.
+
+    Neighbouring x cells share one face value, so at most one cell on each
+    side of x = 0 is cut by the ridge edge; every other fx is exactly 1 or 0.
+    """
+    g = geometry
+    x_faces = (np.arange(grid.nx + 1) - grid.nx / 2) * grid.dx_um
+    half_w = g.ridge_width_um / 2.0
+    fx = _coverage(x_faces[:-1], x_faces[1:], -half_w, half_w)
+
+    y = grid.y_coords_um() + g.core_thickness_um / 2.0
+    yl, yh = y - grid.dy_um / 2, y + grid.dy_um / 2
+    fy_core = _coverage(yl, yh, 0.0, g.core_thickness_um)
+    fy_cap = _coverage(yl, yh, g.core_thickness_um, g.ridge_height_um)
+    fy_slab = _coverage(yl, yh, -g.cladding_thickness_um, 0.0)
+    slab = g.n_clad**2 * fy_slab
+    outside = g.n_exterior**2 * (1.0 - fy_slab - fy_core - fy_cap)
+    eps_mesa = slab + (g.n_core**2 * fy_core + g.n_clad**2 * fy_cap) + outside
+    eps_out = slab + g.n_exterior**2 * (fy_core + fy_cap) + outside
+    return fx, eps_mesa, eps_out
+
+
+def _columns(fx, eps_mesa, eps_out) -> np.ndarray:
+    """n^2 of the x columns with mesa coverage fx: eps_mesa where fx = 1, eps_out where 0."""
+    fx = fx[:, None]
+    return fx * eps_mesa + (1.0 - fx) * eps_out
+
+
 def permittivity_map(geometry: WaveguideGeometry, grid: GridSpec) -> np.ndarray:
     """Area-averaged n^2 on the grid, window centered on the core center."""
-    g = geometry
-    x = grid.x_coords_um()
-    y = grid.y_coords_um() + g.core_thickness_um / 2.0
-    dx, dy = grid.dx_um, grid.dy_um
-    xl, xh = x - dx / 2, x + dx / 2
-    yl, yh = y - dy / 2, y + dy / 2
-    half_w = g.ridge_width_um / 2.0
-
-    fx_mesa = _coverage(xl, xh, -half_w, half_w)[:, None]
-    fy_core = _coverage(yl, yh, 0.0, g.core_thickness_um)[None, :]
-    fy_cap = _coverage(yl, yh, g.core_thickness_um, g.ridge_height_um)[None, :]
-    fy_slab = _coverage(yl, yh, -g.cladding_thickness_um, 0.0)[None, :]
-    fy_outside = 1.0 - fy_slab - fy_core - fy_cap
-
-    eps = (
-        g.n_clad**2 * fy_slab
-        + fx_mesa * (g.n_core**2 * fy_core + g.n_clad**2 * fy_cap)
-        + (1.0 - fx_mesa) * g.n_exterior**2 * (fy_core + fy_cap)
-        + g.n_exterior**2 * fy_outside
-    )
-    return np.broadcast_to(eps, (grid.nx, grid.ny)).copy()
+    return _columns(*_permittivity_factors(geometry, grid))
 
 
 def _check_margins(geometry: WaveguideGeometry, grid: GridSpec) -> None:
@@ -148,26 +155,103 @@ def _check_margins(geometry: WaveguideGeometry, grid: GridSpec) -> None:
         )
 
 
-def _helmholtz_matrix(eps_half: np.ndarray, dx: float, dy: float, k0: float):
-    """Five-point Helmholtz operator on the x >= 0 half-window of an even field.
+def _shift_invert(geometry: WaveguideGeometry, grid: GridSpec, sigma: float):
+    """f -> (A - sigma I)^-1 f for the half-window operator A, by block elimination in x.
 
-    For an even field the column just left of x = 0 equals the first
-    half-column, so its coupling folds into that column's diagonal as
-    +1/dx^2.  Every other edge of the window is a zero (Dirichlet) boundary.
+    The unknowns are the x >= 0 columns u_0 .. u_(m-1), each ny samples in y.
+    A - sigma I is block tridiagonal: diagonal blocks T(eps_i) - (2/dx^2 +
+    sigma) I with T(eps) = d2/dy2 + k0^2 diag(eps), off-diagonal blocks
+    I/dx^2.  The even mirror image of u_0 adds +1/dx^2 to the first diagonal
+    block; the far edge is a zero (Dirichlet) boundary.  Columns 0 .. j-1 are
+    all mesa and j+1 .. m-1 all outside, with j the first column not fully
+    inside the mesa.  In the eigenbasis of T(eps_mesa), resp. T(eps_out),
+    each run's blocks are diagonal, so eliminating it towards column j is an
+    element-wise Schur recurrence s_i = b - c^2/s_(i-1), c = 1/dx^2, leaving
+    one dense ny x ny Schur complement at column j, inverted once.
+    A - sigma I is negative definite (eps <= n_core^2 everywhere and the
+    Laplacian is negative definite), so every pivot is below -1/dx^2.
     """
-    import scipy.sparse as sp  # here, not at module level: see solve_fundamental_mode
+    fx, eps_mesa, eps_out = _permittivity_factors(geometry, grid)
+    fx = fx[grid.nx // 2 :]
+    m, ny = len(fx), grid.ny
+    c = 1.0 / grid.dx_um**2
+    j = int(np.count_nonzero(fx == 1.0))
+    k0_sq = geometry.k0_per_um**2
+    off_y = np.full(ny - 1, 1.0 / grid.dy_um**2)
 
-    nx, ny = eps_half.shape
-    n = nx * ny
-    main = -2.0 / dx**2 - 2.0 / dy**2 + k0**2 * eps_half.ravel()
-    main[:ny] += 1.0 / dx**2  # mirror ghost of the first half-column
-    off_x = np.full(n - ny, 1.0 / dx**2)
-    off_y = np.full(n, 1.0 / dy**2)
-    off_y[ny - 1 :: ny] = 0.0  # no coupling across x-rows
-    return sp.diags(
-        [main, off_x, off_x, off_y[: n - 1], off_y[: n - 1]],
-        [0, ny, -ny, 1, -1],
-        format="csc",
+    def block(eps, lead=0.0):
+        """Diagonal block T(eps) - (2/dx^2 + sigma) I, plus `lead` on its diagonal."""
+        diag = k0_sq * eps - 2.0 / grid.dy_um**2 - 2.0 * c - sigma + lead
+        return np.diag(diag) + np.diag(off_y, 1) + np.diag(off_y, -1)
+
+    def run(eps, count, lead):
+        """Eigenbasis and Schur pivots of `count` same-kind columns, eliminated towards j."""
+        lam, basis = np.linalg.eigh(block(eps))
+        pivots = np.empty((count, ny))
+        for i in range(count):
+            pivots[i] = lam + lead if i == 0 else lam - c * c / pivots[i - 1]
+        return basis, pivots
+
+    # the mesa run starts at the mirror (+1/dx^2), the outside run at the far edge
+    runs = (run(eps_mesa, j, c), run(eps_out, m - j - 1, 0.0))
+    schur = block(_columns(fx[j : j + 1], eps_mesa, eps_out)[0], c if j == 0 else 0.0)
+    for basis, pivots in runs:
+        if len(pivots):
+            schur -= (basis * (c * c / pivots[-1])) @ basis.T
+    schur_inv = np.linalg.inv(schur)
+
+    def solve(f):
+        f = f.reshape(m, ny)
+        u = np.empty_like(f)
+        # each run's rows, ordered from its far end to column j
+        views = ((f[:j], u[:j]), (f[j + 1 :][::-1], u[j + 1 :][::-1]))
+        rhs = f[j].copy()
+        sweeps = []
+        for (basis, pivots), (f_run, _) in zip(runs, views):
+            g = f_run @ basis  # forward elimination, in the run's eigenbasis
+            for i in range(1, len(g)):
+                g[i] -= (c / pivots[i - 1]) * g[i - 1]
+            if len(g):
+                rhs -= basis @ ((c / pivots[-1]) * g[-1])
+            sweeps.append(g)
+        u[j] = schur_inv @ rhs
+        for (basis, pivots), (_, u_run), g in zip(runs, views, sweeps):
+            if len(g):  # back substitution from column j outwards
+                g[-1] = (g[-1] - c * (u[j] @ basis)) / pivots[-1]
+                for i in range(len(g) - 2, -1, -1):
+                    g[i] = (g[i] - c * g[i + 1]) / pivots[i]
+                u_run[:] = g @ basis.T
+        return u.ravel()
+
+    return solve
+
+
+def _lanczos(op, n: int):
+    """Largest-magnitude eigenpair (theta, unit vector) of the symmetric operator op.
+
+    Lanczos from v0 = ones, reorthogonalized against the whole basis at every
+    step, stopped once the Ritz residual |beta_k y_k| is at most machine
+    epsilon times |theta|.  Raises EigensolveFailed after _LANCZOS_STEPS.
+    """
+    basis = np.empty((_LANCZOS_STEPS + 1, n))  # rows are touched only as they are filled
+    basis[0] = 1.0 / np.sqrt(n)
+    alpha, beta = [], []
+    for k in range(_LANCZOS_STEPS):
+        w = op(basis[k])
+        v = basis[: k + 1]
+        h = v @ w
+        w -= h @ v
+        w -= (v @ w) @ v  # a second pass restores orthogonality to working precision
+        alpha.append(h[k])
+        b = float(np.linalg.norm(w))
+        thetas, ys = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        top = int(np.argmax(np.abs(thetas)))
+        if abs(b * ys[-1, top]) <= np.finfo(float).eps * abs(thetas[top]):
+            return float(thetas[top]), ys[:, top] @ v
+        beta.append(b)
+        basis[k + 1] = w / b
+    raise EigensolveFailed(
+        f"eigensolve failed: no convergence in {_LANCZOS_STEPS} Lanczos steps"
     )
 
 
@@ -177,32 +261,17 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
     Raises NoGuidedMode when the top of the spectrum is at or below the
     cladding light line, ValueError when the window clips the ridge or the
     solved mode has not decayed at the window edge, and EigensolveFailed
-    when the shifted operator is singular or ARPACK does not converge.
+    when the Lanczos iteration does not converge within its step cap or a
+    dense LAPACK step fails.
     """
-    # imported here, not at module level: scipy.sparse takes about 0.25 s to
-    # import (2-core Xeon) and only the commands that solve a mode need it
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     _check_margins(geometry, grid)
     k0 = geometry.k0_per_um
-    eps = permittivity_map(geometry, grid)
-    A = _helmholtz_matrix(eps[grid.nx // 2 :], grid.dx_um, grid.dy_um, k0)
     sigma = (k0 * geometry.n_core) ** 2
-    n = A.shape[0]
     try:
-        # small supernodes, same fill: 512^2 splu 0.66-0.86 -> 0.52 s, 214 -> 180 MiB (2-core Xeon)
-        lu = spla.splu(A - sigma * sp.identity(n, format="csc"),
-                       permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
-        # fixed start vector keeps the solve deterministic run to run
-        # ncv=8: 17 OPinv solves on the reference mode, 21 with the default 20-vector basis
-        vals, vecs = spla.eigsh(
-            A, k=1, sigma=sigma, which="LM", v0=np.ones(n), ncv=8,
-            OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
-        )
-    except RuntimeError as exc:  # splu's "exactly singular"; ArpackNoConvergence
+        theta, vec = _lanczos(_shift_invert(geometry, grid, sigma), grid.nx // 2 * grid.ny)
+    except np.linalg.LinAlgError as exc:  # LAPACK's inv or eigh failing
         raise EigensolveFailed(f"eigensolve failed: {exc}") from exc
-    beta_sq = float(vals[0])
+    beta_sq = sigma + 1.0 / theta
     if beta_sq <= 0:
         raise NoGuidedMode("no propagating solution found")
     n_eff = float(np.sqrt(beta_sq) / k0)
@@ -212,11 +281,9 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
             f"{geometry.n_clad:g}"
         )
 
-    half = vecs[:, 0].reshape(grid.nx // 2, grid.ny)
+    # deterministic sign: largest-|E| sample positive
+    half = vec.reshape(grid.nx // 2, grid.ny) * np.sign(vec[np.argmax(np.abs(vec))])
     amps = np.concatenate([half[::-1], half]).astype(complex)
-    # deterministic phase: largest-|E| sample real and positive
-    peak = amps.flat[np.argmax(np.abs(amps))]
-    amps = amps * (np.conj(peak) / abs(peak))
     # the profile is reused as the free-space input of the gap
     profile = SampledField(
         amplitudes=amps,

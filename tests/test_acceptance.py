@@ -30,6 +30,7 @@ from ridgecav import (
     round_trip_phase_scan,
     stack_reflectivity,
     TrapConfig,
+    potential_profile,
     trap_analysis,
 )
 from ridgecav.cli import main
@@ -284,7 +285,7 @@ def test_criterion_11_trap():
         omega_trap_2pi_kHz=9.0, atom_mass_kg=rb_mass, c4_J_m4=0.0,
         gap_width_um=2.0, z_samples=401,
     )
-    res = trap_analysis(harmonic)
+    res = trap_analysis(*potential_profile(harmonic))
     step = harmonic.gap_width_um / harmonic.z_samples
     check(
         results, "C11 pure-harmonic recovery",
@@ -292,12 +293,12 @@ def test_criterion_11_trap():
         f"min at {res['min_position_um']:.4f} um",
     )
     exists = [
-        trap_analysis(
+        trap_analysis(*potential_profile(
             TrapConfig(
                 omega_trap_2pi_kHz=9.0, atom_mass_kg=rb_mass, c4_J_m4=1.2e-55,
                 gap_width_um=w, z_samples=401,
             )
-        )["has_minimum"]
+        ))["has_minimum"]
         for w in np.linspace(0.2, 4.0, 16)
     ]
     first_true = exists.index(True) if True in exists else len(exists)
@@ -306,12 +307,12 @@ def test_criterion_11_trap():
         and all(exists[first_true:]) and not any(exists[:first_true])
     )
     check(results, "C11 trap existence monotone in gap width", monotone)
-    reference = trap_analysis(
+    reference = trap_analysis(*potential_profile(
         TrapConfig(
             omega_trap_2pi_kHz=9.0, atom_mass_kg=rb_mass, c4_J_m4=1.2e-55,
             gap_width_um=2.0, z_samples=401,
         )
-    )
+    ))
     check(
         results, "C11 reference 2 um gap holds a bounded well",
         reference["has_minimum"] and reference["barrier_height_uK"] > 0.0,

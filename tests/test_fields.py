@@ -87,9 +87,13 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_csv_rows_match_per_sample_formatting():
+    # the writer formats each distinct value once: -0.0 and 0.0 side by side,
+    # subnormals, and exact ties at the sixth digit (round half to even)
     amps = np.array([
-        [complex(-0.0, -0.0), 1e-19 - 3.2e-19j, 123456.789 + 1e5j],
-        [-1.5e-7 - 0.0j, 0.1234567 + 9.999995e5j, -2.5e5 + 1e-20j],
+        [complex(-0.0, -0.0), 1e-19 - 3.2e-19j, 123456.789 + 1e5j, complex(0.0, -0.0)],
+        [-1.5e-7 - 0.0j, 0.1234567 + 9.999995e5j, -2.5e5 + 1e-20j, complex(5e-324, -2.5e-320)],
+        [complex(1234565.0, 1234575.0), complex(-1000005.0, 1e-310), complex(0.0, 0.0),
+         complex(-0.0, 1234565.0)],
     ])
     f = SampledField(amps, dx_um=0.3, dy_um=0.7, wavelength_nm=780.0)
     xs, ys = f.x_coords_um(), f.y_coords_um()
@@ -100,4 +104,5 @@ def test_csv_rows_match_per_sample_formatting():
     ]
     rows = list(field_to_csv_rows(f))
     assert rows == expected
-    assert rows[1] == "-0.15,-0.7,-0,-0"
+    assert rows[1] == "-0.3,-1.05,-0,-0"
+    assert rows[4] == "-0.3,1.05,0,-0"

@@ -65,6 +65,18 @@ def test_fresnel_rejects_non_finite_index(bad):
         fresnel_interface(bad)
 
 
+@pytest.mark.parametrize("scatter", [
+    pytest.param(gap_scattering, id="series"),
+    pytest.param(lambda f, cfg: brute_force_gap_scattering(f, cfg, n_bounces=4), id="brute-force"),
+])
+def test_gap_width_near_the_float_limit_is_one_error(scatter):
+    # k_z d overflows: both models name the width, and no RuntimeWarning
+    # (an error under this suite's filter) comes ahead of the ValueError
+    f = make_gaussian(2.0, nx=64, window_um=16.0)
+    with pytest.raises(ValueError, match=r"^R \+ T at gap width 1.7e\+308 um must be finite, got nan$"):
+        scatter(f, GapConfig(d_um=1.7e308))
+
+
 @pytest.mark.parametrize("n_bounces", [0, -3])
 def test_brute_force_needs_a_bounce(n_bounces):
     # no bounce would report R = r^2, T = 0 and the rest as loss

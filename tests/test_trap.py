@@ -44,11 +44,11 @@ def test_pure_harmonic_profile():
 
 def test_pure_harmonic_analysis():
     cfg = harmonic_only()
-    result = trap_analysis(cfg)
+    z_um, u = potential_profile(cfg)
+    result = trap_analysis(z_um, u)
     assert result["has_minimum"]
     assert abs(result["min_position_um"]) < cfg.gap_width_um / cfg.z_samples
     # the barrier is the wall-adjacent sample of the harmonic profile
-    z_um, u = potential_profile(cfg)
     assert result["barrier_height_J"] == pytest.approx(u[-1], rel=1e-12)
 
 
@@ -71,7 +71,7 @@ def test_reference_gap_has_bound_well():
         c4_J_m4=REFERENCE_C4, gap_width_um=2.0, z_samples=401,
     )
     z_um, u = potential_profile(cfg)
-    result = trap_analysis(cfg)
+    result = trap_analysis(z_um, u)
     assert result["has_minimum"]
     assert abs(result["min_position_um"]) < 0.05
     assert result["barrier_height_uK"] > 0.0
@@ -87,7 +87,7 @@ def test_overwhelming_surface_term_kills_the_trap():
         omega_trap_2pi_kHz=9.0, atom_mass_kg=RB_MASS,
         c4_J_m4=1e-50, gap_width_um=2.0, z_samples=401,
     )
-    result = trap_analysis(cfg)
+    result = trap_analysis(*potential_profile(cfg))
     assert not result["has_minimum"]
     assert result["barrier_height_J"] == 0.0
     assert math.isnan(result["min_position_um"])
@@ -96,12 +96,12 @@ def test_overwhelming_surface_term_kills_the_trap():
 def test_trap_existence_is_monotone_in_gap_width():
     widths = np.linspace(0.2, 4.0, 20)
     exists = [
-        trap_analysis(
+        trap_analysis(*potential_profile(
             TrapConfig(
                 omega_trap_2pi_kHz=9.0, atom_mass_kg=RB_MASS,
                 c4_J_m4=REFERENCE_C4, gap_width_um=float(w), z_samples=401,
             )
-        )["has_minimum"]
+        ))["has_minimum"]
         for w in widths
     ]
     # false below a threshold width, true above, no re-entrance
@@ -117,7 +117,7 @@ def test_narrow_gap_has_no_trap():
         omega_trap_2pi_kHz=9.0, atom_mass_kg=RB_MASS,
         c4_J_m4=REFERENCE_C4, gap_width_um=0.2, z_samples=401,
     )
-    assert not trap_analysis(cfg)["has_minimum"]
+    assert not trap_analysis(*potential_profile(cfg))["has_minimum"]
 
 
 def test_profile_is_even_in_z():
@@ -132,12 +132,12 @@ def test_profile_is_even_in_z():
 
 def test_barrier_monotone_in_width_and_frequency():
     def barrier(width, freq_khz):
-        return trap_analysis(
+        return trap_analysis(*potential_profile(
             TrapConfig(
                 omega_trap_2pi_kHz=freq_khz, atom_mass_kg=RB_MASS,
                 c4_J_m4=REFERENCE_C4, gap_width_um=width, z_samples=401,
             )
-        )["barrier_height_J"]
+        ))["barrier_height_J"]
 
     widths = [1.5, 2.0, 3.0, 4.0]
     by_width = [barrier(w, 9.0) for w in widths]
