@@ -181,31 +181,27 @@ def _bounce_sums(spectrum, r: float, n_terms: int, d_um):
     """
     kz, w = spectrum
     ikz = 1j * kz
-    # k_z d can overflow near the float limit; _series rejects the NaN it leaves
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not isinstance(d_um, np.ndarray):
-            return _row_sums(ikz * d_um, w, r, n_terms)
-        rows = max(1, _BLOCK_ELEMENTS // kz.size)
-        z, rho, g = (np.empty((min(rows, d_um.size), kz.size), complex) for _ in range(3))
-        sums = np.empty((3, d_um.size), complex)
-        for start in range(0, d_um.size, rows):
-            n = min(rows, d_um.size - start)
-            np.multiply.outer(d_um[start:start + n], ikz, out=z[:n])
-            sums[:, start:start + n] = _row_sums(z[:n], w, r, n_terms, rho[:n], g[:n])
-        return sums
+    if not isinstance(d_um, np.ndarray):
+        return _row_sums(ikz * d_um, w, r, n_terms)
+    rows = max(1, _BLOCK_ELEMENTS // kz.size)
+    z, rho, g = (np.empty((min(rows, d_um.size), kz.size), complex) for _ in range(3))
+    sums = np.empty((3, d_um.size), complex)
+    for start in range(0, d_um.size, rows):
+        n = min(rows, d_um.size - start)
+        np.multiply.outer(d_um[start:start + n], ikz, out=z[:n])
+        sums[:, start:start + n] = _row_sums(z[:n], w, r, n_terms, rho[:n], g[:n])
+    return sums
 
 
-def _check_finite(total: float, d_um: float) -> None:
-    if not math.isfinite(total):
-        raise ValueError(f"R + T at gap width {d_um:g} um must be finite, got {total}")
+def _check_width(mode, d_um: float) -> None:
+    """Reject, before any arithmetic, a width whose k0 d >= every |k_z| d is not finite."""
+    f = mode.field if isinstance(mode, ModeSolution) else mode
+    if not math.isfinite(f.wavenumber_per_um * d_um):
+        raise ValueError(f"k0 d at gap width {d_um:g} um must be finite, got inf")
 
 
-def _series(sums, d_um, r: float, n_terms: int, cfg: GapConfig):
-    """(R, T, r_gap, t_gap) of the bounce sums at width d_um, or arrays of them for a scan.
-
-    A non-finite R + T (k_z d overflows near the float limit) is rejected,
-    naming the first width where it happens.
-    """
+def _series(sums, r: float, n_terms: int, cfg: GapConfig):
+    """(R, T, r_gap, t_gap) of the bounce sums at one width, or arrays of them for a scan."""
     s2 = 1.0 - r * r
     t_amp = s2 * sums[1]
     r_amp = r - s2 * r * sums[2]
@@ -214,15 +210,10 @@ def _series(sums, d_um, r: float, n_terms: int, cfg: GapConfig):
         R, T = (np.array([h ** 2 for h in np.hypot(a.real, a.imag).tolist()])
                 for a in (r_amp, t_amp))
         total = R + T
-        if np.isfinite(total).all():
-            i = np.argmax(total > 1 + 1e-6)  # the first width over, if any
-        else:
-            i = np.argmin(np.isfinite(total))  # the first non-finite width
-        worst, width = total[i], d_um[i]
+        worst = total[np.argmax(total > 1 + 1e-6)]  # the first width over, if any
     else:
         R, T = abs(complex(r_amp)) ** 2, abs(complex(t_amp)) ** 2
-        worst, width = R + T, d_um
-    _check_finite(worst, width)
+        worst = R + T
     if worst > 1 + 1e-6:
         raise SeriesNotConverged(
             f"R + T = {worst:.9g} exceeds 1 after {n_terms} terms: "
@@ -231,10 +222,11 @@ def _series(sums, d_um, r: float, n_terms: int, cfg: GapConfig):
     return R, T, r_amp, t_amp
 
 
-def _gap_result(spectrum, r: float, n_terms: int, cfg: GapConfig):
+def _gap_result(mode, r: float, n_terms: int, cfg: GapConfig):
     """The bounce sums at cfg.d_um and the GapResult they give."""
-    sums = _bounce_sums(spectrum, r, n_terms, cfg.d_um)
-    R, T, r_amp, t_amp = _series(sums, cfg.d_um, r, n_terms, cfg)
+    _check_width(mode, cfg.d_um)
+    sums = _bounce_sums(_spectrum_of(mode), r, n_terms, cfg.d_um)
+    R, T, r_amp, t_amp = _series(sums, r, n_terms, cfg)
     return sums, GapResult(R=R, T=T, loss=1.0 - R - T, r_amplitude=complex(r_amp),
                            t_amplitude=complex(t_amp))
 
@@ -242,7 +234,7 @@ def _gap_result(spectrum, r: float, n_terms: int, cfg: GapConfig):
 def gap_scattering(mode, cfg: GapConfig) -> GapResult:
     """Sum the coherent multiple-reflection series for one gap width."""
     r, _, n_terms = _interface(cfg)
-    return _gap_result(_spectrum_of(mode), r, n_terms, cfg)[1]
+    return _gap_result(mode, r, n_terms, cfg)[1]
 
 
 def _check_scan(d_min_um: float, d_max_um: float, steps: int) -> None:
@@ -257,10 +249,11 @@ def loss_spectrum(mode, d_min_um: float, d_max_um: float, steps: int,
                   base_cfg: GapConfig = GapConfig()):
     """gap_scattering on a uniform width grid; rows of (d, R, T, loss)."""
     _check_scan(d_min_um, d_max_um, steps)
+    _check_width(mode, d_max_um)
     spectrum = _spectrum_of(mode)
     r, _, n_terms = _interface(base_cfg)
     d = np.linspace(d_min_um, d_max_um, steps)
-    R, T, _, _ = _series(_bounce_sums(spectrum, r, n_terms, d), d, r, n_terms, base_cfg)
+    R, T, _, _ = _series(_bounce_sums(spectrum, r, n_terms, d), r, n_terms, base_cfg)
     return list(zip(d.tolist(), R.tolist(), T.tolist(), (1.0 - R - T).tolist()))
 
 
@@ -300,12 +293,11 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     the fine cell area is the fine-grid overlap, exactly.
     """
     check_value("n_bounces", n_bounces, ge=1)
+    _check_width(mode, cfg.d_um)
     f = (mode.field if isinstance(mode, ModeSolution) else mode).normalized()
     r, _ = fresnel_interface(cfg.n_interface)
     s = np.sqrt(1.0 - r * r)
-    # k_z d can overflow near the float limit; the NaN it leaves is rejected below
-    with np.errstate(over="ignore", invalid="ignore"):
-        transfer = _transfer_function(f, cfg.d_um)
+    transfer = _transfer_function(f, cfg.d_um)
     propagating = transfer != 0.0
     (fx, cx, mx), (fy, cy, my) = (_band_axis(f.nx, propagating.any(axis=1)),
                                   _band_axis(f.ny, propagating.any(axis=0)))
@@ -333,12 +325,8 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
         else:  # back at the input interface: couples out backward
             r_amp += s * coupled
         current = crossing(-r * current)
-    R = abs(r_amp) ** 2
-    T = abs(t_amp) ** 2
-    _check_finite(R + T, cfg.d_um)
-    return GapResult(
-        R=R, T=T, loss=1.0 - R - T, r_amplitude=r_amp, t_amplitude=t_amp
-    )
+    R, T = abs(r_amp) ** 2, abs(t_amp) ** 2
+    return GapResult(R=R, T=T, loss=1.0 - R - T, r_amplitude=r_amp, t_amplitude=t_amp)
 
 
 def _round_trip(gap: GapResult, arm_phase_rad):
@@ -386,7 +374,7 @@ def field_enhancement(mode, cfg: GapConfig, arm_phase_rad: float) -> float:
         ratio = sqrt(n) (|G+| + |G-|) / (1 + r_rt).
     """
     r, s, n_terms = _interface(cfg)
-    (sum0, sum1, sum2), gres = _gap_result(_spectrum_of(mode), r, n_terms, cfg)
+    (sum0, sum1, sum2), gres = _gap_result(mode, r, n_terms, cfg)
     phase = np.exp(1j * arm_phase_rad)
     b = phase * gres.t_amplitude / (1.0 - gres.r_amplitude * phase)  # arm-side injection
     r_rt = _round_trip(gres, arm_phase_rad)[0]

@@ -70,6 +70,7 @@ def _spectrum(f: SampledField):
     kz, mask = _kz_and_mask(f)
     weights = np.abs(np.fft.fft2(f.amplitudes)) ** 2
     total = weights.sum()
+    check_value("spectral power of the field", total)  # |F|^2 of huge amplitudes overflows
     if total == 0.0:
         raise ValueError("projection of a zero field is undefined")
     kz_distinct, which = np.unique(kz[mask], return_inverse=True)

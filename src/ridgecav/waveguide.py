@@ -27,13 +27,13 @@ too.  The eigenproblem is therefore posed on the x >= 0 half-window only
 half-column, and the solved half is unfolded into the full-window field.
 Each half-window column lies inside the mesa, outside it, or is the one
 column the ridge edge cuts, so A - sigma I (sigma = k0^2 n_core^2) is block
-tridiagonal in x with two repeated diagonal blocks.  `_shift_invert` applies
-its inverse by block elimination in the eigenbases of those two blocks, and
-`_lanczos` finds the largest eigenvalue of that inverse.  Both use NumPy
-alone.  On a 2-core Xeon with one BLAS thread the reference ridge takes 16
-Lanczos steps and about 0.06 s at 256^2 and 0.3 s at 512^2, against 0.15 s
-and 1.1 s for a sparse LU with ARPACK; n_eff agrees with that solver within
-3e-16 relative and the profile within 1e-13 of the peak.
+tridiagonal in x with two runs of repeated blocks.  Each run is diagonal in
+its y eigenbasis times a closed-form x basis (Buzbee, Golub and Nielson,
+SIAM J. Numer. Anal. 7, 627 (1970)); `_shift_invert` and `_lanczos` work in
+those coordinates.  On a 2-core Xeon with one BLAS thread the reference
+ridge takes 16 Lanczos steps, about 0.035 s at 256^2 and 0.19 s at 512^2;
+n_eff agrees with a sparse LU and ARPACK within 2e-16 relative and the
+profile within 4e-14 of the peak.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ from .propagation import _spectrum
 
 BOUNDARY_DECAY_LIMIT = 1e-3
 MARGIN_UM = 4.0
+# the shift sigma = k0^2 n_core^2 may round away at most this fraction of the
+# stencil's 1/d^2: sigma eps is 1.4e-13 against 1/dx^2 = 114 on the reference grid
+_SHIFT_ROUNDING = 1e-6
 # Lanczos step cap: 3-5 um ridges take 15-18 steps, a 0.05 um ridge (edge in column 0) 36
 _LANCZOS_STEPS = 100
 
@@ -155,21 +158,37 @@ def _check_margins(geometry: WaveguideGeometry, grid: GridSpec) -> None:
         )
 
 
-def _shift_invert(geometry: WaveguideGeometry, grid: GridSpec, sigma: float):
-    """f -> (A - sigma I)^-1 f for the half-window operator A, by block elimination in x.
+def _x_basis(count: int, mirror: bool):
+    """Orthonormal eigenvectors (columns) and eigenvalues of a run's second difference in x.
 
-    The unknowns are the x >= 0 columns u_0 .. u_(m-1), each ny samples in y.
-    A - sigma I is block tridiagonal: diagonal blocks T(eps_i) - (2/dx^2 +
-    sigma) I with T(eps) = d2/dy2 + k0^2 diag(eps), off-diagonal blocks
-    I/dx^2.  The even mirror image of u_0 adds +1/dx^2 to the first diagonal
-    block; the far edge is a zero (Dirichlet) boundary.  Columns 0 .. j-1 are
-    all mesa and j+1 .. m-1 all outside, with j the first column not fully
-    inside the mesa.  In the eigenbasis of T(eps_mesa), resp. T(eps_out),
-    each run's blocks are diagonal, so eliminating it towards column j is an
-    element-wise Schur recurrence s_i = b - c^2/s_(i-1), c = 1/dx^2, leaving
-    one dense ny x ny Schur complement at column j, inverted once.
-    A - sigma I is negative definite (eps <= n_core^2 everywhere and the
-    Laplacian is negative definite), so every pivot is below -1/dx^2.
+    The run's ends see zero neighbours, but a mirror run's column 0 is its own
+    (its even image across x = 0).  Column l is cos((i + 1/2) t_l), t_l = (l +
+    1/2) pi / (count + 1/2), for a mirror run, else sin((i + 1) t_l), t_l =
+    (l + 1) pi / (count + 1); its eigenvalue is -4 sin^2(t_l / 2).  Phases are
+    reduced mod 2 pi in integers, so they keep full precision.
+    """
+    if mirror:  # every phase is an integer a_i a_l times pi / n
+        a, n = 2 * np.arange(count) + 1, 4 * count + 2
+        basis = np.cos(np.outer(a, a) % (2 * n) * (np.pi / n)) * np.sqrt(8.0 / n)
+        return basis, -4.0 * np.sin(a * np.pi / n) ** 2
+    a, n = np.arange(count) + 1, count + 1
+    basis = np.sin(np.outer(a, a) % (2 * n) * (np.pi / n)) * np.sqrt(2.0 / n)
+    return basis, -4.0 * np.sin(a * np.pi / (2 * n)) ** 2
+
+
+def _shift_invert(geometry: WaveguideGeometry, grid: GridSpec, sigma: float):
+    """(solve, start, to_grid): (A - sigma I)^-1 on the x >= 0 half-window, in the runs' eigenbasis.
+
+    A - sigma I is block tridiagonal in the columns u_0 .. u_(m-1): diagonal
+    blocks T(eps_i) - (2/dx^2 + sigma) I, T(eps) = d2/dy2 + k0^2 diag(eps),
+    plus 1/dx^2 on u_0's from its mirror image; off-diagonal blocks I/dx^2.
+    Columns 0 .. j-1 are mesa and j+1 .. m-1 outside.  A run is diagonal in
+    its y eigenbasis (T(eps) - sigma I = Q diag(mu) Q^T) times `_x_basis`:
+    d[l, k] = mu_k + kappa_l / dx^2 < 0, as A - sigma I is negative definite.
+    A run meets column j through row e of its x basis, so column j's Schur
+    complement, its block minus Q diag(sum_l e_l^2 / d[l, k]) Q^T / dx^4 per
+    run, is inverted once.  A vector holds each run's coefficients and column
+    j as it is; `start` is ones on the grid, and `to_grid` maps a vector back.
     """
     fx, eps_mesa, eps_out = _permittivity_factors(geometry, grid)
     fx = fx[grid.nx // 2 :]
@@ -179,62 +198,57 @@ def _shift_invert(geometry: WaveguideGeometry, grid: GridSpec, sigma: float):
     k0_sq = geometry.k0_per_um**2
     off_y = np.full(ny - 1, 1.0 / grid.dy_um**2)
 
-    def block(eps, lead=0.0):
-        """Diagonal block T(eps) - (2/dx^2 + sigma) I, plus `lead` on its diagonal."""
-        diag = k0_sq * eps - 2.0 / grid.dy_um**2 - 2.0 * c - sigma + lead
+    def block(eps, lead):
+        """T(eps) - sigma I, plus `lead` on its diagonal."""
+        diag = k0_sq * eps - 2.0 / grid.dy_um**2 - sigma + lead
         return np.diag(diag) + np.diag(off_y, 1) + np.diag(off_y, -1)
 
-    def run(eps, count, lead):
-        """Eigenbasis and Schur pivots of `count` same-kind columns, eliminated towards j."""
-        lam, basis = np.linalg.eigh(block(eps))
-        pivots = np.empty((count, ny))
-        for i in range(count):
-            pivots[i] = lam + lead if i == 0 else lam - c * c / pivots[i - 1]
-        return basis, pivots
-
-    # the mesa run starts at the mirror (+1/dx^2), the outside run at the far edge
-    runs = (run(eps_mesa, j, c), run(eps_out, m - j - 1, 0.0))
-    schur = block(_columns(fx[j : j + 1], eps_mesa, eps_out)[0], c if j == 0 else 0.0)
-    for basis, pivots in runs:
-        if len(pivots):
-            schur -= (basis * (c * c / pivots[-1])) @ basis.T
+    inv_d = np.zeros((m, ny))  # row j stays 0: column j is solved through the Schur complement
+    start = np.ones((m, ny))
+    runs = []  # (rows, x basis, y basis, c e) of each non-empty run
+    # the mesa run starts at the mirror and ends next to j; the outside run starts next to j
+    for first, count, eps, mirror in ((0, j, eps_mesa, True), (j + 1, m - j - 1, eps_out, False)):
+        if count:
+            rows = slice(first, first + count)
+            x_basis, kappa = _x_basis(count, mirror)
+            mu, y_basis = np.linalg.eigh(block(eps, 0.0))
+            inv_d[rows] = 1.0 / (mu + c * kappa[:, None])
+            coupling = c * x_basis[-1 if mirror else 0]
+            start[rows] = np.outer(x_basis.sum(axis=0), y_basis.sum(axis=0))
+            runs.append((rows, x_basis, y_basis, coupling))
+    # column j's block is built after the eigh calls, whose freed workspace it reuses
+    schur = block(_columns(fx[j : j + 1], eps_mesa, eps_out)[0], (-1.0 if j == 0 else -2.0) * c)
+    for rows, _, y_basis, coupling in runs:
+        schur -= (y_basis * (coupling**2 @ inv_d[rows])) @ y_basis.T
     schur_inv = np.linalg.inv(schur)
 
     def solve(f):
         f = f.reshape(m, ny)
-        u = np.empty_like(f)
-        # each run's rows, ordered from its far end to column j
-        views = ((f[:j], u[:j]), (f[j + 1 :][::-1], u[j + 1 :][::-1]))
-        rhs = f[j].copy()
-        sweeps = []
-        for (basis, pivots), (f_run, _) in zip(runs, views):
-            g = f_run @ basis  # forward elimination, in the run's eigenbasis
-            for i in range(1, len(g)):
-                g[i] -= (c / pivots[i - 1]) * g[i - 1]
-            if len(g):
-                rhs -= basis @ ((c / pivots[-1]) * g[-1])
-            sweeps.append(g)
+        u = f * inv_d
+        rhs = f[j] - sum(y_basis @ (coupling @ u[rows]) for rows, _, y_basis, coupling in runs)
         u[j] = schur_inv @ rhs
-        for (basis, pivots), (_, u_run), g in zip(runs, views, sweeps):
-            if len(g):  # back substitution from column j outwards
-                g[-1] = (g[-1] - c * (u[j] @ basis)) / pivots[-1]
-                for i in range(len(g) - 2, -1, -1):
-                    g[i] = (g[i] - c * g[i + 1]) / pivots[i]
-                u_run[:] = g @ basis.T
+        for rows, _, y_basis, coupling in runs:
+            u[rows] -= np.multiply.outer(coupling, u[j] @ y_basis) * inv_d[rows]
         return u.ravel()
 
-    return solve
+    def to_grid(vec):
+        out = vec.reshape(m, ny).copy()
+        for rows, x_basis, y_basis, _ in runs:
+            out[rows] = x_basis @ out[rows] @ y_basis.T
+        return out
+
+    return solve, start.ravel(), to_grid
 
 
-def _lanczos(op, n: int):
+def _lanczos(op, v0):
     """Largest-magnitude eigenpair (theta, unit vector) of the symmetric operator op.
 
-    Lanczos from v0 = ones, reorthogonalized against the whole basis at every
-    step, stopped once the Ritz residual |beta_k y_k| is at most machine
-    epsilon times |theta|.  Raises EigensolveFailed after _LANCZOS_STEPS.
+    Lanczos from v0, reorthogonalized against the whole basis at every step,
+    stopped once the Ritz residual |beta_k y_k| is at most machine epsilon
+    times |theta|.  Raises EigensolveFailed after _LANCZOS_STEPS.
     """
-    basis = np.empty((_LANCZOS_STEPS + 1, n))  # rows are touched only as they are filled
-    basis[0] = 1.0 / np.sqrt(n)
+    basis = np.empty((_LANCZOS_STEPS + 1, v0.size))  # rows are touched only as they are filled
+    basis[0] = v0 / np.linalg.norm(v0)
     alpha, beta = [], []
     for k in range(_LANCZOS_STEPS):
         w = op(basis[k])
@@ -259,16 +273,25 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
     """Largest-n_eff eigenmode of the scalar Helmholtz operator.
 
     Raises NoGuidedMode when the top of the spectrum is at or below the
-    cladding light line, ValueError when the window clips the ridge or the
-    solved mode has not decayed at the window edge, and EigensolveFailed
-    when the Lanczos iteration does not converge within its step cap or a
-    dense LAPACK step fails.
+    cladding light line; ValueError when the window clips the ridge, when
+    the shift k0^2 n_core^2 rounds away the stencil's 1/d^2 (a wavelength
+    far below the grid step) or when the solved mode has not decayed at the
+    window edge; and EigensolveFailed when the Lanczos iteration does not
+    converge within its step cap or a dense LAPACK step fails.
     """
     _check_margins(geometry, grid)
     k0 = geometry.k0_per_um
     sigma = (k0 * geometry.n_core) ** 2
+    stencil = 1.0 / max(grid.dx_um, grid.dy_um) ** 2
+    if not sigma * np.finfo(float).eps <= _SHIFT_ROUNDING * stencil:
+        raise ValueError(f"wavelength_nm = {geometry.wavelength_nm:g} is too short for this grid: "
+                         f"k0^2 n_core^2 = {sigma:.3g} per um^2 rounds away more than "
+                         f"{_SHIFT_ROUNDING:g} of the stencil's 1/d^2 = {stencil:.3g} per um^2")
     try:
-        theta, vec = _lanczos(_shift_invert(geometry, grid, sigma), grid.nx // 2 * grid.ny)
+        solve, start, to_grid = _shift_invert(geometry, grid, sigma)
+        theta, vec = _lanczos(solve, start)
+        half = to_grid(vec)
+        del solve, start, to_grid, vec  # frees the solver's matrices before the profile: peak RSS
     except np.linalg.LinAlgError as exc:  # LAPACK's inv or eigh failing
         raise EigensolveFailed(f"eigensolve failed: {exc}") from exc
     beta_sq = sigma + 1.0 / theta
@@ -282,34 +305,22 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
         )
 
     # deterministic sign: largest-|E| sample positive
-    half = vec.reshape(grid.nx // 2, grid.ny) * np.sign(vec[np.argmax(np.abs(vec))])
+    half *= np.sign(half.flat[np.argmax(np.abs(half))])
     amps = np.concatenate([half[::-1], half]).astype(complex)
     # the profile is reused as the free-space input of the gap
-    profile = SampledField(
-        amplitudes=amps,
-        dx_um=grid.dx_um,
-        dy_um=grid.dy_um,
-        wavelength_nm=geometry.wavelength_nm,
-    ).normalized()
+    profile = SampledField(amplitudes=amps, dx_um=grid.dx_um, dy_um=grid.dy_um,
+                           wavelength_nm=geometry.wavelength_nm).normalized()
 
-    edge = max(
-        np.abs(profile.amplitudes[0, :]).max(),
-        np.abs(profile.amplitudes[-1, :]).max(),
-        np.abs(profile.amplitudes[:, 0]).max(),
-        np.abs(profile.amplitudes[:, -1]).max(),
-    )
-    if edge > BOUNDARY_DECAY_LIMIT * np.abs(profile.amplitudes).max():
+    amps = profile.amplitudes
+    edge = max(np.abs(amps[[0, -1]]).max(), np.abs(amps[:, [0, -1]]).max())
+    if edge > BOUNDARY_DECAY_LIMIT * np.abs(amps).max():
         raise ValueError(
             f"mode amplitude at the window edge is {edge:.2e} of the peak; "
             f"limit is {BOUNDARY_DECAY_LIMIT:g}"
         )
 
     profile.amplitudes.setflags(write=False)  # an in-place write would leave `spectrum` stale
-    return ModeSolution(
-        field=profile,
-        n_eff=n_eff,
-        mode_area_um2=mode_area(profile),
-    )
+    return ModeSolution(field=profile, n_eff=n_eff, mode_area_um2=mode_area(profile))
 
 
 def mode_area(f: SampledField) -> float:

@@ -1,12 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import ridgecav
 from ridgecav import (
@@ -625,11 +629,11 @@ TINY_SIGMA_CSV = "length_um,finesse,sigma\n260,21.7,1e-320\n650,16.9,1e-320\n130
 
 @pytest.mark.parametrize("text, argv, named", [
     pytest.param(BASE_WAVEGUIDE + SMALL_GRID + "\n[gap]\nd_um = 1.7e308\n",
-                 ["gap-scan", "--phase-scan"], "R + T at gap width 1.7e+308 um",
+                 ["gap-scan", "--phase-scan"], "k0 d at gap width 1.7e+308 um",
                  id="phase-scan-wide-gap"),
     pytest.param(BASE_WAVEGUIDE + SMALL_GRID,
                  ["gap-scan", "--d-min", "0", "--d-max", "1.7e308", "--steps", "3"],
-                 "R + T at gap width 8.5e+307 um", id="gap-scan-wide-range"),
+                 "k0 d at gap width 1.7e+308 um", id="gap-scan-wide-range"),
     pytest.param(BASE_WAVEGUIDE + TRAP_BLOCK.replace("gap_width_um = 2.0", "gap_width_um = 1e-300"),
                  ["trap"], "gap_width_um = 1e-300", id="trap-narrow-gap"),
     pytest.param(BASE_WAVEGUIDE + TRAP_BLOCK.replace("gap_width_um = 2.0", "gap_width_um = 1e300"),
@@ -659,6 +663,57 @@ def test_cli_result_out_of_float_range_is_one_error_line(tmp_path, capsys, text,
     assert named in err
     written = out + "".join(p.read_text() for p in out_dir.glob("*.csv"))
     assert not re.search(r"nan|inf", written, flags=re.I)
+
+
+def test_cli_mode_rejects_a_wavelength_that_rounds_away_the_stencil(tmp_path, capsys):
+    # at 1e-5 nm the shift k0^2 n_core^2 = 3.9e18 per um^2 has an ulp far
+    # above the 64^2 grid's 1/dx^2 = 7.1 per um^2: the solve would print a
+    # mode of rounding noise and exit 0
+    text = BASE_WAVEGUIDE.replace("wavelength_nm = 780.0", "wavelength_nm = 1e-5") + SMALL_GRID
+    cfg = write_config(tmp_path, text)
+    code, out, err = run_cli(capsys, "mode", cfg, "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: wavelength_nm = 1e-05 is too short for this grid")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert out == ""
+    assert not (tmp_path / "mode_field.csv").exists()
+
+
+FUZZ_ARGV = (["mode"], ["gap-scan"], ["gap-scan", "--phase-scan"], ["trap"], ["budget"],
+             ["budget", "--no-gap"])
+EXTREMES = ("0", "-1", "5e-324", "1e-300", "1e-9", "1e-3", "0.5", "2", "1e3", "1e9", "1e300",
+            "1.7e308")
+
+
+@given(
+    argv=st.sampled_from(FUZZ_ARGV),
+    overrides=st.lists(
+        st.tuples(st.sampled_from([(block, key) for block, keys in FLOAT_KEYS.items()
+                                   for key in keys]),
+                  st.sampled_from(EXTREMES)),
+        min_size=1, max_size=3, unique_by=lambda item: item[0]),
+)
+def test_cli_extreme_settings_exit_cleanly(argv, overrides):
+    # one to three keys at extreme values, on a 32^2 grid: every run ends in a
+    # documented exit code with no traceback, and a run that exits 0 writes no
+    # NaN or inf, except the infinite finesse and C of a divergent budget
+    blocks = {"waveguide": BASE_WAVEGUIDE.split("\n", 1)[1], "grid": "nx = 32\nny = 32\n",
+              "trap": TRAP_BLOCK.split("\n", 2)[2]}
+    for (block, key), value in overrides:
+        lines = re.sub(rf"^{key} = .*\n", "", blocks.get(block, ""), flags=re.M)
+        blocks[block] = lines + f"{key} = {value}\n"
+    text = "".join(f"[{block}]\n{lines}\n" for block, lines in blocks.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(pathlib.Path(tmp), text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], cfg, *argv[1:], "--out", tmp])
+        written = out.getvalue() + "".join(p.read_text() for p in pathlib.Path(tmp).glob("*.csv"))
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        divergent = argv[0] == "budget" and "divergent=true" in written
+        assert not re.search(r"nan" if divergent else r"nan|inf", written, flags=re.I)
 
 
 def test_shipped_reference_config_loads():

@@ -70,11 +70,26 @@ def test_fresnel_rejects_non_finite_index(bad):
     pytest.param(lambda f, cfg: brute_force_gap_scattering(f, cfg, n_bounces=4), id="brute-force"),
 ])
 def test_gap_width_near_the_float_limit_is_one_error(scatter):
-    # k_z d overflows: both models name the width, and no RuntimeWarning
-    # (an error under this suite's filter) comes ahead of the ValueError
+    # k0 d overflows: both models name the width before any arithmetic, so no
+    # RuntimeWarning (an error under this suite's filter) comes ahead of it
     f = make_gaussian(2.0, nx=64, window_um=16.0)
-    with pytest.raises(ValueError, match=r"^R \+ T at gap width 1.7e\+308 um must be finite, got nan$"):
+    with pytest.raises(ValueError, match=r"^k0 d at gap width 1.7e\+308 um must be finite, got inf$"):
         scatter(f, GapConfig(d_um=1.7e308))
+
+
+@pytest.mark.parametrize("scatter", [
+    pytest.param(gap_scattering, id="series"),
+    pytest.param(lambda f, cfg: loss_spectrum(f, 0.3, 3.0, 4, base_cfg=cfg), id="scan"),
+])
+def test_overflowing_spectral_power_is_one_error(scatter):
+    # |F|^2 of 1e160 amplitudes overflows: the spectrum is rejected where it
+    # is built, instead of NaN weights reaching the series (a scan would
+    # return rows of NaN)
+    g = make_gaussian(2.0, nx=64, window_um=16.0)
+    f = SampledField(g.amplitudes * 1e160, g.dx_um, g.dy_um, g.wavelength_nm)
+    message = r"^spectral power of the field must be finite, got inf$"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+        scatter(f, GapConfig())  # the warnings off, as the CLI runs
 
 
 @pytest.mark.parametrize("n_bounces", [0, -3])

@@ -173,7 +173,7 @@ def test_half_window_solve_matches_full_window_operator():
     pytest.param(RIDGE, FACE_GRID, 2, id="edges-on-cell-faces"),
 ])
 def test_solved_mode_is_an_eigenpair_of_the_half_window_operator(geometry, grid, columns):
-    # the solve measures 5.3e-16 to 1.3e-14 here, so a shorter or looser
+    # the solve measures 3.3e-16 to 8.2e-16 here, so a shorter or looser
     # Lanczos run cannot hide behind the n_eff and area pins
     mode = solve_fundamental_mode(geometry, grid)
     eps = permittivity_map(geometry, grid)
@@ -225,12 +225,29 @@ def test_solve_matches_sparse_shift_invert_eigsh(geometry, grid):
                  replace(GRID, nx=64, ny=64), id="zero-contrast"),
 ])
 def test_block_elimination_solves_the_shifted_operator(geometry, grid):
+    # the solve works in the runs' eigenbasis: map a right-hand side g and
+    # its solution to the grid and check the residual there
     sigma = (geometry.k0_per_um * geometry.n_core) ** 2
     A = half_window_operator(geometry, grid)
-    f = np.random.default_rng(7).standard_normal(A.shape[0])
-    u = waveguide._shift_invert(geometry, grid, sigma)(f)
+    g = np.random.default_rng(7).standard_normal(A.shape[0])
+    solve, start, to_grid = waveguide._shift_invert(geometry, grid, sigma)
+    f, u = to_grid(g).ravel(), to_grid(solve(g)).ravel()
+    assert np.linalg.norm(f) == pytest.approx(np.linalg.norm(g), rel=1e-14)
+    assert np.abs(to_grid(start) - 1.0).max() <= 1e-13
     residual = A @ u - sigma * u - f
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("count", [1, 2, 106])
+@pytest.mark.parametrize("mirror", [True, False], ids=["mirror-run", "dirichlet-run"])
+def test_closed_form_x_basis_diagonalizes_the_second_difference(count, mirror):
+    second = -2.0 * np.eye(count) + np.eye(count, k=1) + np.eye(count, k=-1)
+    if mirror:
+        second[0, 0] += 1.0  # column 0 is its own neighbour across x = 0
+    basis, kappa = waveguide._x_basis(count, mirror)
+    assert np.abs(basis.T @ basis - np.eye(count)).max() <= 2e-14
+    assert np.abs(basis.T @ second @ basis - np.diag(kappa)).max() <= 2e-14
+    assert np.abs(np.sort(kappa) - np.linalg.eigh(second)[0]).max() <= 2e-14
 
 
 def test_reference_solve_needs_fewer_shift_invert_solves_than_the_default_basis(monkeypatch):
@@ -240,12 +257,12 @@ def test_reference_solve_needs_fewer_shift_invert_solves_than_the_default_basis(
     shift_invert = waveguide._shift_invert
 
     def counting_shift_invert(*args):
-        solve = shift_invert(*args)
+        solve, start, to_grid = shift_invert(*args)
 
         def counted(f):
             solves.append(1)
             return solve(f)
-        return counted
+        return counted, start, to_grid
 
     monkeypatch.setattr(waveguide, "_shift_invert", counting_shift_invert)
     solve_fundamental_mode(RIDGE, GRID)
