@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import check_fields
+from .errors import check_fields, check_value
 
 
 def _cell_centres(n: int, step: float) -> np.ndarray:
@@ -94,7 +94,9 @@ class SampledField:
 
     def normalized(self) -> "SampledField":
         """Scale to unit power."""
-        p = self.power()
+        with np.errstate(over="ignore"):  # an overflowing power fails below, as inf
+            p = self.power()
+        check_value("field power", p)
         if p == 0.0:
             raise ValueError("cannot normalize a zero field")
         return replace(self, amplitudes=self.amplitudes / np.sqrt(p))

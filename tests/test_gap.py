@@ -92,6 +92,15 @@ def test_overflowing_spectral_power_is_one_error(scatter):
         scatter(f, GapConfig())  # the warnings off, as the CLI runs
 
 
+def test_brute_force_rejects_an_overflowing_field_power():
+    # normalizing by sqrt(inf) would zero the field and report R = r^2, T = 0;
+    # the power is rejected without a RuntimeWarning (an error in this suite)
+    g = make_gaussian(2.0, nx=64, window_um=16.0)
+    f = SampledField(g.amplitudes * 1e160, g.dx_um, g.dy_um, g.wavelength_nm)
+    with pytest.raises(ValueError, match=r"^field power must be finite, got inf$"):
+        brute_force_gap_scattering(f, GapConfig(), n_bounces=4)
+
+
 @pytest.mark.parametrize("n_bounces", [0, -3])
 def test_brute_force_needs_a_bounce(n_bounces):
     # no bounce would report R = r^2, T = 0 and the rest as loss

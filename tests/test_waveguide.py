@@ -1,3 +1,5 @@
+import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -173,7 +175,7 @@ def test_half_window_solve_matches_full_window_operator():
     pytest.param(RIDGE, FACE_GRID, 2, id="edges-on-cell-faces"),
 ])
 def test_solved_mode_is_an_eigenpair_of_the_half_window_operator(geometry, grid, columns):
-    # the solve measures 3.3e-16 to 8.2e-16 here, so a shorter or looser
+    # the solve measures 2.9e-16 to 6.3e-16 here, so a shorter or looser
     # Lanczos run cannot hide behind the n_eff and area pins
     mode = solve_fundamental_mode(geometry, grid)
     eps = permittivity_map(geometry, grid)
@@ -191,6 +193,8 @@ def test_solved_mode_is_an_eigenpair_of_the_half_window_operator(geometry, grid,
     pytest.param(WIDE_RIDGE, WIDE_GRID, id="wide-ridge"),
     pytest.param(RIDGE, FACE_GRID, id="edges-on-cell-faces"),
     pytest.param(RIDGE, replace(GRID, nx=512, ny=512), id="512x512"),
+    pytest.param(replace(RIDGE, n_exterior=3.144), replace(GRID, nx=64, ny=64),
+                 id="exterior-near-cladding-untrimmed"),
 ])
 def test_solve_matches_sparse_shift_invert_eigsh(geometry, grid):
     # SciPy's sparse LU and ARPACK on the same half-window operator, as an
@@ -225,17 +229,61 @@ def test_solve_matches_sparse_shift_invert_eigsh(geometry, grid):
                  replace(GRID, nx=64, ny=64), id="zero-contrast"),
 ])
 def test_block_elimination_solves_the_shifted_operator(geometry, grid):
-    # the solve works in the runs' eigenbasis: map a right-hand side g and
-    # its solution to the grid and check the residual there
+    # the solve works in the runs' eigenbasis on the kept y rows: map a
+    # right-hand side g and its solution to the grid and check the residual
+    # of the half-window operator restricted to those rows
     sigma = (geometry.k0_per_um * geometry.n_core) ** 2
-    A = half_window_operator(geometry, grid)
+    kept = waveguide._kept_rows(geometry, grid)
+    index = (np.arange(grid.nx // 2)[:, None] * grid.ny + np.arange(grid.ny)[kept]).ravel()
+    A = half_window_operator(geometry, grid)[index][:, index]
     g = np.random.default_rng(7).standard_normal(A.shape[0])
     solve, start, to_grid = waveguide._shift_invert(geometry, grid, sigma)
-    f, u = to_grid(g).ravel(), to_grid(solve(g)).ravel()
+    f, u = to_grid(g)[:, kept].ravel(), to_grid(solve(g))[:, kept].ravel()
     assert np.linalg.norm(f) == pytest.approx(np.linalg.norm(g), rel=1e-14)
-    assert np.abs(to_grid(start) - 1.0).max() <= 1e-13
+    assert np.abs(to_grid(start)[:, kept] - 1.0).max() <= 1e-13
     residual = A @ u - sigma * u - f
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("geometry, grid, reached", [
+    pytest.param(RIDGE, GRID, 124, id="reference"),
+    pytest.param(replace(RIDGE, n_exterior=3.144), replace(GRID, nx=64, ny=64), 64,
+                 id="exterior-near-cladding"),
+])
+def test_mode_is_exactly_zero_beyond_the_decay_pad(geometry, grid, reached):
+    # above the mesa and below the slab each x harmonic of a guided mode
+    # shrinks by at least r per row, r + 1/r = 2 + dy^2 k0^2 (n_clad^2 -
+    # n_exterior^2); the solve keeps the smallest pad of rows with r^pad <=
+    # eps beside the cells that touch the stack, and writes 0 beyond it
+    mode = solve_fundamental_mode(geometry, grid)
+    g = geometry
+    s = (grid.dy_um * g.k0_per_um) ** 2 * (g.n_clad**2 - g.n_exterior**2)
+    r = (2.0 + s - np.sqrt(s * (4.0 + s))) / 2.0
+    pad = next(n for n in itertools.count(1) if r**n <= np.finfo(float).eps)
+    y = grid.y_coords_um() + g.core_thickness_um / 2.0  # y = 0 at the slab/mesa interface
+    stack = np.flatnonzero((y + grid.dy_um / 2 > -g.cladding_thickness_um)
+                           & (y - grid.dy_um / 2 < g.ridge_height_um))
+    rows = np.flatnonzero(np.abs(mode.field.amplitudes).max(axis=0))
+    assert len(rows) == reached
+    assert rows[0] == max(stack[0] - pad, 0)
+    assert rows[-1] == min(stack[-1] + pad, grid.ny - 1)
+    assert rows[-1] - rows[0] + 1 == len(rows)
+
+
+def test_unguided_narrow_ridge_stays_unguided_on_the_kept_rows():
+    # the kept rows' operator is a principal submatrix of the half-window
+    # one, so its top eigenvalue is no larger (Cauchy interlacing); the full
+    # half-window solve read the same n_eff
+    with pytest.raises(NoGuidedMode, match=r"^largest n_eff 3\.143560 is not above"):
+        solve_fundamental_mode(replace(RIDGE, ridge_width_um=0.05), replace(GRID, nx=64, ny=64))
+
+
+def test_window_edge_error_gives_the_edge_to_peak_ratio():
+    geometry = replace(RIDGE, n_clad=3.154, n_exterior=3.154)
+    with pytest.raises(ValueError, match="window edge") as err:
+        solve_fundamental_mode(geometry, replace(GRID, nx=64, ny=64))
+    ratio = float(re.search(r"is (\S+) of the peak", str(err.value)).group(1))
+    assert ratio >= waveguide.BOUNDARY_DECAY_LIMIT
 
 
 @pytest.mark.parametrize("count", [1, 2, 106])
