@@ -71,7 +71,7 @@ class NoGuidedMode(RidgecavError):
 
 
 class SeriesNotConverged(RidgecavError):
-    """Multiple-reflection series hit the term cap before the tolerance."""
+    """A truncated multiple-reflection sum: the term cap hit, or R + T above 1."""
 
 
 class EigensolveFailed(RidgecavError):

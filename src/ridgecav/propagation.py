@@ -17,23 +17,32 @@ from .errors import check_value
 from .fields import SampledField
 
 
-def _kz_and_mask(f: SampledField):
-    """k_z (zero where evanescent) and the propagating mask, in numpy's FFT layout."""
-    kx = 2.0 * np.pi * np.fft.fftfreq(f.nx, f.dx_um)
-    ky = 2.0 * np.pi * np.fft.fftfreq(f.ny, f.dy_um)
-    kx, ky = np.meshgrid(kx, ky, indexing="ij")
+def _band(f: SampledField):
+    """((ix, iy), kz, mask): the box of plane waves that can propagate, and k_z on it.
+
+    ix and iy are the FFT-layout indices with |frequency index| <= K on each
+    axis, K the largest index with k_x^2 < k^2 (resp. k_y^2), in increasing
+    order; every propagating wave lies in their product box.  kz (zero where
+    evanescent) and the propagating mask are built on that box with the same
+    float operations as on the full grid, so they are its entries bit for
+    bit, and the box lists the full grid's propagating entries in the same
+    row-major order.
+    """
     k = f.wavenumber_per_um
-    kz2 = k * k - kx * kx - ky * ky
+    kx, ky = (2.0 * np.pi * np.fft.fftfreq(n, d) for n, d in ((f.nx, f.dx_um), (f.ny, f.dy_um)))
+    ix, iy = (np.flatnonzero(k * k - a * a > 0.0) for a in (kx, ky))
+    kz2 = k * k - kx[ix, None] * kx[ix, None] - ky[iy] * ky[iy]
     mask = kz2 > 0.0
-    kz = np.sqrt(np.where(mask, kz2, 0.0))
-    return kz, mask
+    return (ix, iy), np.sqrt(np.where(mask, kz2, 0.0)), mask
 
 
 def _transfer_function(f: SampledField, distance_um: float) -> np.ndarray:
     """exp(i k_z d) on the propagating components, 0 on the evanescent ones."""
     check_value("distance_um", distance_um, ge=0)
-    kz, mask = _kz_and_mask(f)
-    return np.where(mask, np.exp(1j * kz * distance_um), 0.0)
+    (ix, iy), kz, mask = _band(f)
+    transfer = np.zeros((f.nx, f.ny), complex)
+    transfer[np.ix_(ix, iy)] = np.where(mask, np.exp(1j * kz * distance_um), 0.0)
+    return transfer
 
 
 def propagate_free_space(f: SampledField, distance_um: float) -> SampledField:
@@ -65,13 +74,15 @@ def _spectrum(f: SampledField):
              = <f, P_d f> / ||f||^2,
 
     the projection of the field propagated by propagate_free_space onto the
-    original one, not re-normalized as `overlap` would.
+    original one, not re-normalized as `overlap` would.  k_z is built on the
+    band box of `_band` only, the one place it is formed: no wave outside it
+    propagates.
     """
-    kz, mask = _kz_and_mask(f)
+    (ix, iy), kz, mask = _band(f)
     weights = np.abs(np.fft.fft2(f.amplitudes)) ** 2
     total = weights.sum()
     check_value("spectral power of the field", total)  # |F|^2 of huge amplitudes overflows
     if total == 0.0:
         raise ValueError("projection of a zero field is undefined")
     kz_distinct, which = np.unique(kz[mask], return_inverse=True)
-    return kz_distinct, np.bincount(which, weights=weights[mask]) / total
+    return kz_distinct, np.bincount(which, weights=weights[np.ix_(ix, iy)][mask]) / total

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from ridgecav import (
     GapConfig,
     GapResult,
+    GridSpec,
     ModeSolution,
     SeriesNotConverged,
     brute_force_gap_scattering,
@@ -16,12 +17,13 @@ from ridgecav import (
     gap_scattering,
     loss_spectrum,
     round_trip_phase_scan,
+    solve_fundamental_mode,
 )
 from ridgecav import gap as gap_module, propagation, waveguide
 from ridgecav.fields import SampledField
 from ridgecav.gap import _num_terms
 from ridgecav.propagation import _spectrum
-from conftest import make_gaussian, q_factors
+from conftest import RIDGE, make_gaussian, q_factors
 
 WL_UM = 0.780
 
@@ -351,6 +353,15 @@ def test_band_limited_bounces_equal_the_fine_grid_loop(ridge_mode, d_um):
     assert abs(brute.t_amplitude - t_amp) < 1e-13
 
 
+def _offset_gaussian(grid, w0_um, offset_um, wavelength_nm):
+    nx, ny, wx, wy = grid
+    x = (np.arange(nx) - nx / 2 + 0.5) * (wx / nx) - offset_um[0]
+    y = (np.arange(ny) - ny / 2 + 0.5) * (wy / ny) - offset_um[1]
+    amps = np.exp(-(x[:, None] ** 2 + y[None, :] ** 2) / w0_um**2)  # no x mirror symmetry
+    return SampledField(amps.astype(complex), dx_um=wx / nx, dy_um=wy / ny,
+                        wavelength_nm=wavelength_nm)
+
+
 # (nx, ny, window_x_um, window_y_um): crops to 64^2; already 64^2 (nothing
 # cropped); non-square with dx != dy (crops to 64 x 32); a 32^2 grid whose
 # propagating disc reaches the Nyquist frequency (nothing cropped)
@@ -369,12 +380,7 @@ BOUNCE_GRIDS = [(128, 128, 24.0, 24.0), (64, 64, 24.0, 24.0), (128, 96, 24.0, 12
 )
 def test_band_limited_bounces_equal_the_fine_grid_loop_on_gaussians(
         grid, w0_um, offset_x_um, offset_y_um, wavelength_nm, d_um, n_interface):
-    nx, ny, wx, wy = grid
-    x = (np.arange(nx) - nx / 2 + 0.5) * (wx / nx) - offset_x_um
-    y = (np.arange(ny) - ny / 2 + 0.5) * (wy / ny) - offset_y_um
-    amps = np.exp(-(x[:, None] ** 2 + y[None, :] ** 2) / w0_um**2)  # no x mirror symmetry
-    f = SampledField(amps.astype(complex), dx_um=wx / nx, dy_um=wy / ny,
-                     wavelength_nm=wavelength_nm)
+    f = _offset_gaussian(grid, w0_um, (offset_x_um, offset_y_um), wavelength_nm)
     cfg = GapConfig(d_um=d_um, n_interface=n_interface)
     brute = brute_force_gap_scattering(f, cfg, n_bounces=24)
     r_amp, t_amp = _fine_grid_bounces(f, cfg, 24)
@@ -383,20 +389,119 @@ def test_band_limited_bounces_equal_the_fine_grid_loop_on_gaussians(
 
 
 def test_reference_mode_bounces_on_a_64_grid(ridge_mode, monkeypatch):
-    # the mode is transformed once at 256^2; every other transform is 64^2
-    shapes = []
+    # the mode is transformed onto its band box by one 1-D pass per axis at
+    # 256 and no 2-D transform at 256^2; every 2-D transform is 64^2: the
+    # injection, the partner and 6 forward plus 6 backward crossings (b = 7)
+    calls = []
 
-    def spying(transform):
+    def spying(name, transform):
         def spy(a, *args, **kwargs):
-            shapes.append(a.shape)
+            calls.append((name, a.shape, kwargs.get("axis")))
             return transform(a, *args, **kwargs)
         return spy
 
-    for name in ("fft2", "ifft2"):
-        monkeypatch.setattr(np.fft, name, spying(getattr(np.fft, name)))
+    for name in ("fft", "fft2", "ifft2"):
+        monkeypatch.setattr(np.fft, name, spying(name, getattr(np.fft, name)))
     brute_force_gap_scattering(ridge_mode, GapConfig(d_um=1.96), n_bounces=48)
-    assert shapes.count((256, 256)) == 1
-    assert shapes.count((64, 64)) == len(shapes) - 1
+    one_d = [(shape, axis) for name, shape, axis in calls if name == "fft"]
+    two_d = [shape for name, shape, _ in calls if name != "fft"]
+    assert one_d == [((256, 256), 1), ((256, 61), 0)]
+    assert (256, 256) not in two_d
+    assert two_d.count((64, 64)) == len(two_d) == 26
+
+
+def _kz_and_mask(f):
+    """The full-grid k_z (zero where evanescent) and propagating mask, built as before the band box."""
+    kx = 2.0 * np.pi * np.fft.fftfreq(f.nx, f.dx_um)
+    ky = 2.0 * np.pi * np.fft.fftfreq(f.ny, f.dy_um)
+    kx, ky = np.meshgrid(kx, ky, indexing="ij")
+    k = f.wavenumber_per_um
+    kz2 = k * k - kx * kx - ky * ky
+    mask = kz2 > 0.0
+    return np.sqrt(np.where(mask, kz2, 0.0)), mask
+
+
+@pytest.mark.parametrize("grid", [None, *BOUNCE_GRIDS])
+def test_band_box_spectrum_and_transfer_equal_the_full_grid_construction(ridge_mode, grid):
+    # k_z is built on the propagating box alone; the spectrum and the transfer
+    # function equal the full-grid construction bit for bit, so no propagating
+    # wave lies outside the box
+    fields = ([ridge_mode.field] if grid is None else
+              [_offset_gaussian(grid, 2.0, (0.7, -0.4), wl) for wl in (700.0, 780.0, 900.0)])
+    for f in fields:
+        kz, mask = _kz_and_mask(f)
+        weights = np.abs(np.fft.fft2(f.amplitudes)) ** 2
+        kz_distinct, which = np.unique(kz[mask], return_inverse=True)
+        kz_box, w_box = _spectrum(f)
+        assert np.array_equal(kz_box, kz_distinct)
+        assert np.array_equal(w_box, np.bincount(which, weights=weights[mask]) / weights.sum())
+        for d_um in (0.0, 1.96, 7.3):
+            expected = np.where(mask, np.exp(1j * kz * d_um), 0.0)
+            assert np.array_equal(propagation._transfer_function(f, d_um), expected)
+
+
+@pytest.mark.parametrize("n_bounces", [1, 2, 3, 7, 8, 9, 49, 50])
+def test_baby_and_giant_steps_equal_the_fine_grid_loop(n_bounces):
+    # b = round(sqrt(n)) baby steps per giant step: b = 1 at 1 and 2 bounces,
+    # b = 2 at 3, a partial last block at 3, 8, 49 and 50; every input keeps
+    # the truncated sum's R + T <= 1
+    f = make_gaussian(2.0, nx=64)
+    for d_um in (0.0, 0.4, 1.96):
+        for n_interface in (1.5, 3.155, 4.0):
+            cfg = GapConfig(d_um=d_um, n_interface=n_interface)
+            r_amp, t_amp = _fine_grid_bounces(f, cfg, n_bounces)
+            assert abs(r_amp) ** 2 + abs(t_amp) ** 2 <= 1
+            brute = brute_force_gap_scattering(f, cfg, n_bounces)
+            assert abs(brute.r_amplitude - r_amp) < 1e-12
+            assert abs(brute.t_amplitude - t_amp) < 1e-12
+
+
+def test_too_few_bounces_name_the_count():
+    # a truncated bounce sum, like the series' N-term sum, is not bounded by
+    # energy: two hits at d = 1 um give R + T = 1.07
+    f = make_gaussian(2.0, nx=64)
+    message = r"^R \+ T = 1\.06967 exceeds 1 after 2 bounces: n_bounces = 2 is too few$"
+    with pytest.raises(SeriesNotConverged, match=message):
+        brute_force_gap_scattering(f, GapConfig(d_um=1.0, n_interface=1.5), n_bounces=2)
+
+
+@given(
+    ridge_width_um=st.floats(3.0, 5.0),
+    ridge_height_um=st.floats(4.0, 5.0),
+    core_thickness_um=st.floats(3.0, 4.0),
+    cladding_thickness_um=st.floats(3.0, 5.0),
+    wavelength_nm=st.floats(760.0, 800.0),
+    d_um=st.floats(0.3, 3.0),
+    scale=st.sampled_from([1.5, 2.0, 3.0]),
+)
+def test_results_are_invariant_under_scaling_every_length(
+        ridge_width_um, ridge_height_um, core_thickness_um, cladding_thickness_um,
+        wavelength_nm, d_um, scale):
+    # the model has no length of its own: scaling every length and the
+    # wavelength by s leaves n_eff, area / s^2, R, T and the brute-force T as
+    # they were, so a um/nm slip anywhere in the chain would show.  s = 2 is
+    # exact in binary; at 1.5 and 3 the worst seen was 4.6e-15 (2.6e-14
+    # relative in the area)
+    def solve_and_scatter(s):
+        geometry = replace(RIDGE, ridge_width_um=ridge_width_um * s,
+                           ridge_height_um=ridge_height_um * s,
+                           core_thickness_um=core_thickness_um * s,
+                           cladding_thickness_um=cladding_thickness_um * s,
+                           wavelength_nm=wavelength_nm * s)
+        mode = solve_fundamental_mode(geometry, GridSpec(nx=64, ny=64, window_x_um=24.0 * s,
+                                                          window_y_um=24.0 * s))
+        cfg = GapConfig(d_um=d_um * s)
+        series = gap_scattering(mode, cfg)
+        brute = brute_force_gap_scattering(mode, cfg, n_bounces=48)
+        return np.array([mode.n_eff, series.R, series.T, brute.T]), mode.mode_area_um2 / s**2
+
+    values, area = solve_and_scatter(1.0)
+    scaled_values, scaled_area = solve_and_scatter(scale)
+    if scale == 2.0:
+        assert np.array_equal(scaled_values, values) and scaled_area == area
+    else:
+        assert np.max(np.abs(scaled_values - values)) < 4e-14
+        assert abs(scaled_area - area) < 1e-13 * area
 
 
 @given(

@@ -105,6 +105,16 @@ def test_solved_mode_is_exactly_even(ridge_mode):
     assert np.array_equal(amps, amps[::-1])
 
 
+def test_solved_profile_is_real_with_no_negative_zero(ridge_mode):
+    # the profile is finished in real arithmetic; the sign flip's -0.0 in the
+    # dropped rows is turned into 0.0, so mode_field.csv never prints -0
+    amps = ridge_mode.field.amplitudes
+    assert not np.signbit(amps.imag).any() and not amps.imag.any()
+    assert np.count_nonzero(amps.real == 0.0) == 33_792
+    assert not np.signbit(amps.real[amps.real == 0.0]).any()
+    assert ridge_mode.field.power() == pytest.approx(1.0, abs=1e-14)
+
+
 def half_window_operator(geometry, grid):
     """Five-point Helmholtz operator on the x >= 0 half-window of an even field, as a sparse matrix.
 
