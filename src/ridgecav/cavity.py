@@ -121,14 +121,16 @@ def alpha_from_linewidth(width_2kappa_ghz: float, length_um: float,
     check_value("width_2kappa_ghz", width_2kappa_ghz, gt=0)
     check_value("mirror_R", mirror_R, gt=0, le=1)
     fsr = free_spectral_range_ghz(length_um, n_group)
-    finesse = fsr / width_2kappa_ghz
-    g = _g_from_finesse_closed_form(finesse)
+    # an extreme width (g cancels to 0, or F^2 overflows) fails below, naming it
+    with np.errstate(all="ignore"):
+        g = _g_from_finesse_closed_form(np.float64(fsr / width_2kappa_ghz))
+        alpha_per_um = -np.log(g / mirror_R) / length_um
+    check_value(f"alpha at width_2kappa_ghz = {width_2kappa_ghz:g}", alpha_per_um)
     if g >= mirror_R:  # sqrt(R_L R_R) with both facets at mirror_R
         raise ValueError(
             f"implied round-trip factor {g:.6g} is not below the mirror "
             f"contribution {mirror_R:.6g}; no alpha >= 0 reproduces it"
         )
-    alpha_per_um = -np.log(g / mirror_R) / length_um
     return float(alpha_per_um * 1e4)
 
 

@@ -1,8 +1,8 @@
 """Batch front end: mode solve, gap scans, loss fit, budget and trap reports.
 
-Exit codes: 0 ok, 2 input validation, an --out that cannot be written or
-arithmetic overflow from extreme inputs, 3 no guided mode, 4 series
-convergence or a failed eigensolve, 5 fit failure.
+Exit codes: 0 ok, 2 input validation, an --out that cannot be written,
+arithmetic overflow from extreme inputs or an array too large to allocate,
+3 no guided mode, 4 series convergence or a failed eigensolve, 5 fit failure.
 Reports go to stdout as `key=value` lines; tables are written as CSV files
 under --out (written to a temporary name and renamed, so a failed run never
 leaves a partial file).  All numbers are printed with 6 significant digits,
@@ -41,12 +41,12 @@ EXIT_NO_MODE = 3
 EXIT_CONVERGENCE = 4
 EXIT_FIT = 5
 
-# first match wins, so the specific errors come before the catch-all
+# first match wins, so the specific errors come before the catch-all, which main catches
 _EXIT_CODES = (
     (NoGuidedMode, EXIT_NO_MODE),
     ((SeriesNotConverged, EigensolveFailed), EXIT_CONVERGENCE),
     (FitDiverged, EXIT_FIT),
-    ((RidgecavError, ValueError, OSError, ArithmeticError), EXIT_VALIDATION),
+    ((RidgecavError, ValueError, OSError, ArithmeticError, MemoryError), EXIT_VALIDATION),
 )
 
 
@@ -263,7 +263,7 @@ def main(argv=None) -> int:
         # warnings would only print ahead of it
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (RidgecavError, ValueError, OSError, ArithmeticError) as exc:
+    except _EXIT_CODES[-1][0] as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 

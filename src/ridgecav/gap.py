@@ -14,33 +14,26 @@ through-product is 1 - r^2):
 where the sign difference comes from the air-side reflections being -r.
 Q(L) = sum w exp(i k_z L) over the mode's angular spectrum, so each plane
 wave crosses the gap as its own Airy etalon, and the N-term series sums in
-closed form per component (`_bounce_sums`).  The spectrum (one FFT of the
-mode) is built once per solved mode: a ModeSolution keeps it for every later
-call, while a bare SampledField pays one per call, for one width or a scan.
+closed form per component (`_bounce_sums`).  The spectrum (the mode
+transformed onto the propagating band, one 1-D FFT per axis) is built once
+per solved mode: a ModeSolution keeps it for every later call, while a bare
+SampledField pays one per call, for one width or a scan.
 The phase uses k = 2 pi/lambda (the gap medium is air), so the etalon
 resonances fall at gap widths of an integer number of half wavelengths,
 slightly shifted by the diffraction (Gouy) phase of the mode.
 
 One array pass serves a whole width scan: `_bounce_sums` and `_series` take
-one width or a 1-D array of widths, and `loss_spectrum` calls each once
-(`_bounce_sums` works through the widths in cache-sized blocks).
-Every row equals the single-width result bit for bit, because the pass
-keeps its operation order ((i k_z) d, then (r^2 z) z, then
-(w (1 - rho^N)) / (1 - rho)), takes each row's dot product through stacked
-matmul (the kernel of a 1-D a @ b; einsum and (g * z).sum round
-differently), and squares magnitudes as Python's abs(c) ** 2 does: np.hypot,
-then libm's pow (np.abs of a complex array and numpy's square each round
-differently on some inputs).  One SeriesNotConverged check covers the scan.
+one width or a 1-D array of widths (in cache-sized blocks), and each scan row
+equals the single-width result bit for bit.  The pass keeps its operation
+order ((i k_z) d, then (r^2 z) z, then (w (1 - rho^N)) / (1 - rho)), takes
+each row's dot product through stacked matmul (the kernel of a 1-D a @ b;
+einsum and (g * z).sum round differently), and every R and T, of one width,
+a scan row or the bounce check, is abs(c) ** 2 of a Python complex in
+`_intensities`, which also holds the one R + T > 1 check of a truncated sum.
 
 `brute_force_gap_scattering` is an independent check: it bounces the field
-across the gap on the band-limited grid (64^2 for the 256^2 reference mode)
-and collects each coupled amplitude as a real-space overlap with the mode.
-A crossing is unitary on the propagating waves and its adjoint is the
-crossing back, so the hits go in baby and giant steps: 12 crossings instead
-of 47 at 48 hits, about 4 ms instead of 13 ms on a 2-core Xeon, and within
-about 1e-15 of the literal loop.  It never forms |F|^2 weights, merges k_z
-or sums in closed form, so it does not become the model it checks; p_max
-caps only the series.
+across the gap on the band-limited grid and collects each coupled amplitude
+as a real-space overlap with the mode; p_max caps only the series.
 `_check_scan` holds loss_spectrum's range check, which the CLI also runs
 before the mode solve.
 """
@@ -53,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SeriesNotConverged, check_fields, check_value
-from .propagation import _band, _spectrum
+from .propagation import _band, _band_amplitudes, _spectrum
 from .waveguide import ModeSolution
 
 # widths x k_z per block of a scan.  The three complex buffers (256 KiB each)
@@ -156,10 +149,7 @@ def _row_sums(z, w, r: float, n_terms: int, rho=None, g=None):
     np.exp(z, out=z)
     rho = np.multiply(r * r, z, out=rho)
     rho *= z
-    if n_terms == 2:  # what rho ** 2 computes; np.power(rho, 2) rounds differently
-        g = np.square(rho, out=g)
-    else:
-        g = np.power(rho, n_terms, out=g)
+    g = np.power(rho, n_terms, out=g)
     np.subtract(1.0, g, out=g)
     np.multiply(w, g, out=g)
     np.subtract(1.0, rho, out=rho)
@@ -199,35 +189,35 @@ def _check_width(mode, d_um: float) -> None:
         raise ValueError(f"k0 d at gap width {d_um:g} um must be finite, got inf")
 
 
-def _series(sums, r: float, n_terms: int, cfg: GapConfig):
-    """(R, T, r_gap, t_gap) of the bounce sums at one width, or arrays of them for a scan."""
+def _series(sums, r: float):
+    """(r_gap, t_gap) of the bounce sums at one width, or arrays of them for a scan."""
     s2 = 1.0 - r * r
-    t_amp = s2 * sums[1]
-    r_amp = r - s2 * r * sums[2]
-    if isinstance(r_amp, np.ndarray):
-        # |a|^2 bit for bit as abs(a) ** 2 below: np.hypot, then libm's pow
-        R, T = (np.array([h ** 2 for h in np.hypot(a.real, a.imag).tolist()])
-                for a in (r_amp, t_amp))
-        total = R + T
-        worst = total[np.argmax(total > 1 + 1e-6)]  # the first width over, if any
-    else:
-        R, T = abs(complex(r_amp)) ** 2, abs(complex(t_amp)) ** 2
-        worst = R + T
-    if worst > 1 + 1e-6:
-        raise SeriesNotConverged(
-            f"R + T = {worst:.9g} exceeds 1 after {n_terms} terms: "
-            f"series_tolerance = {cfg.series_tolerance:g} is too loose"
-        )
-    return R, T, r_amp, t_amp
+    return r - s2 * r * sums[2], s2 * sums[1]
+
+
+def _intensities(r_amp: complex, t_amp: complex, n: int, cfg: GapConfig | None = None):
+    """(R, T, loss) of the Python complex amplitudes of a truncated sum.
+
+    R + T above 1 raises SeriesNotConverged naming the n series terms, or the
+    n bounces of the brute-force check when no cfg is given; NaN passes on to
+    GapResult's own check.
+    """
+    R, T = abs(r_amp) ** 2, abs(t_amp) ** 2
+    if R + T > 1 + 1e-6:
+        after = (f"{n} terms: series_tolerance = {cfg.series_tolerance:g} is too loose"
+                 if cfg else f"{n} bounces: n_bounces = {n} is too few")
+        raise SeriesNotConverged(f"R + T = {R + T:.9g} exceeds 1 after {after}")
+    return R, T, 1.0 - R - T
 
 
 def _gap_result(mode, r: float, n_terms: int, cfg: GapConfig):
     """The bounce sums at cfg.d_um and the GapResult they give."""
     _check_width(mode, cfg.d_um)
     sums = _bounce_sums(_spectrum_of(mode), r, n_terms, cfg.d_um)
-    R, T, r_amp, t_amp = _series(sums, r, n_terms, cfg)
-    return sums, GapResult(R=R, T=T, loss=1.0 - R - T, r_amplitude=complex(r_amp),
-                           t_amplitude=complex(t_amp))
+    r_amp, t_amp = _series(sums, r)
+    r_amp, t_amp = complex(r_amp), complex(t_amp)
+    R, T, loss = _intensities(r_amp, t_amp, n_terms, cfg)
+    return sums, GapResult(R=R, T=T, loss=loss, r_amplitude=r_amp, t_amplitude=t_amp)
 
 
 def gap_scattering(mode, cfg: GapConfig) -> GapResult:
@@ -252,8 +242,9 @@ def loss_spectrum(mode, d_min_um: float, d_max_um: float, steps: int,
     spectrum = _spectrum_of(mode)
     r, _, n_terms = _interface(base_cfg)
     d = np.linspace(d_min_um, d_max_um, steps)
-    R, T, _, _ = _series(_bounce_sums(spectrum, r, n_terms, d), r, n_terms, base_cfg)
-    return list(zip(d.tolist(), R.tolist(), T.tolist(), (1.0 - R - T).tolist()))
+    r_gap, t_gap = _series(_bounce_sums(spectrum, r, n_terms, d), r)
+    return [(d_um, *_intensities(r_amp, t_amp, n_terms, base_cfg))
+            for d_um, r_amp, t_amp in zip(d.tolist(), r_gap.tolist(), t_gap.tolist())]
 
 
 def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResult:
@@ -269,8 +260,9 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     only plane waves of the `_band` box, frequency indices -K..K, so a grid
     of m >= 2K + 1 samples per axis over the same window, a power of two,
     holds it exactly (64^2 for the 256^2 reference mode).  The mode is
-    transformed onto the box alone, and its in-band part is the overlap
-    partner, since its other plane waves meet only zeros.  By Parseval's
+    transformed onto the box alone (`_band_amplitudes`, as for its spectrum),
+    and its in-band part is the overlap partner: its other plane waves meet
+    only zeros.  By Parseval's
     identity on both grids, an overlap there times (m_x m_y)/(n_x n_y) and
     the fine cell area is the fine-grid one, exactly.
 
@@ -293,7 +285,7 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     _check_width(mode, cfg.d_um)
     f = (mode.field if isinstance(mode, ModeSolution) else mode).normalized()
     r, _ = fresnel_interface(cfg.n_interface)
-    s = np.sqrt(1.0 - r * r)
+    s = math.sqrt(1.0 - r * r)  # a float, so the amplitudes below stay Python complex
     (ix, iy), kz, mask = _band(f)
     places = []  # each box index's place on the band grid, and the grid's size m
     for i, n in ((ix, f.nx), (iy, f.ny)):
@@ -309,8 +301,7 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     def crossing(amps: np.ndarray, transfer: np.ndarray) -> np.ndarray:
         return np.fft.ifft2(np.fft.fft2(amps) * transfer)
 
-    # fft2 does the last axis first, so this is fft2 followed by the crop
-    spectrum = on_band_grid(np.fft.fft(np.fft.fft(f.amplitudes, axis=1)[:, iy], axis=0)[ix])
+    spectrum = on_band_grid(_band_amplitudes(f, ix, iy))
     forward = on_band_grid(np.where(mask, np.exp(1j * kz * cfg.d_um), 0.0))
     scale = (mx * my) / (f.nx * f.ny) * f.cell_area_um2
     b = round(math.sqrt(n_bounces))
@@ -331,11 +322,8 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
             t_amp += s * coupled
         else:  # back at the input interface: couples out backward
             r_amp += s * coupled
-    R, T = abs(r_amp) ** 2, abs(t_amp) ** 2
-    if R + T > 1 + 1e-6:  # NaN passes on to GapResult's own check
-        raise SeriesNotConverged(f"R + T = {R + T:.6g} exceeds 1 after {n_bounces} bounces: "
-                                 f"n_bounces = {n_bounces} is too few")
-    return GapResult(R=R, T=T, loss=1.0 - R - T, r_amplitude=r_amp, t_amplitude=t_amp)
+    R, T, loss = _intensities(r_amp, t_amp, n_bounces)
+    return GapResult(R=R, T=T, loss=loss, r_amplitude=r_amp, t_amplitude=t_amp)
 
 
 def _round_trip(gap: GapResult, arm_phase_rad):

@@ -62,6 +62,12 @@ def overlap(a: SampledField, b: SampledField) -> complex:
     return complex(inner / (na * nb))
 
 
+def _band_amplitudes(f: SampledField, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """F(k) on the band box, one 1-D FFT per axis: fft2 does the last axis first,
+    so this is fft2 cropped to rows ix and columns iy, bit for bit."""
+    return np.fft.fft(np.fft.fft(f.amplitudes, axis=1)[:, iy], axis=0)[ix]
+
+
 def _spectrum(f: SampledField):
     """(kz_distinct, w): the distinct propagating k_z and their power weights.
 
@@ -74,15 +80,15 @@ def _spectrum(f: SampledField):
              = <f, P_d f> / ||f||^2,
 
     the projection of the field propagated by propagate_free_space onto the
-    original one, not re-normalized as `overlap` would.  k_z is built on the
-    band box of `_band` only, the one place it is formed: no wave outside it
-    propagates.
+    original one, not re-normalized as `overlap` would.  F is formed on the
+    `_band` box only, where every propagating wave lies, and the total
+    sum_k |F(k)|^2 is Parseval's n_x n_y sum |f|^2: no full-grid transform.
     """
     (ix, iy), kz, mask = _band(f)
-    weights = np.abs(np.fft.fft2(f.amplitudes)) ** 2
-    total = weights.sum()
-    check_value("spectral power of the field", total)  # |F|^2 of huge amplitudes overflows
+    total = f.nx * f.ny * np.sum(np.abs(f.amplitudes) ** 2)
+    check_value("spectral power of the field", total)  # huge amplitudes overflow; bounds |F|^2
     if total == 0.0:
         raise ValueError("projection of a zero field is undefined")
     kz_distinct, which = np.unique(kz[mask], return_inverse=True)
-    return kz_distinct, np.bincount(which, weights=weights[np.ix_(ix, iy)][mask]) / total
+    power = np.abs(_band_amplitudes(f, ix, iy)[mask]) ** 2
+    return kz_distinct, np.bincount(which, weights=power) / total

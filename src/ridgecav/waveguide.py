@@ -101,8 +101,8 @@ class WaveguideGeometry:
 class ModeSolution:
     """Solved fundamental mode: unit-power profile, n_eff and mode area.
 
-    `spectrum` is the profile's angular spectrum, built on first use and kept
-    for every later gap call; the solver makes the profile read-only.
+    `spectrum` is the profile's (k_z, w) on the propagating band, built on first
+    use and kept for every later gap call; the solver makes the profile read-only.
     """
 
     field: SampledField

@@ -139,6 +139,20 @@ def test_alpha_no_solution_when_width_vanishes():
         alpha_from_linewidth(0.0, 330.0, 3.50, 0.994)
 
 
+@pytest.mark.parametrize("width, got", [
+    pytest.param(1e10, "inf", id="g-cancels-to-0"),
+    pytest.param(1e300, "inf", id="finesse-underflows"),
+    pytest.param(1e-300, "-inf", id="finesse-squared-overflows"),
+    pytest.param(1e-320, "nan", id="finesse-overflows"),
+])
+def test_alpha_rejects_a_width_outside_the_closed_form(width, got):
+    # at 300 um, n_g 3.5 and R 0.9 these gave inf or NaN, or raised
+    # OverflowError from F^2; each now names the width, with no warning
+    message = rf"^alpha at width_2kappa_ghz = \S+ must be finite, got {got}$"
+    with pytest.raises(ValueError, match=message):
+        alpha_from_linewidth(width, 300.0, 3.5, 0.9)
+
+
 # --- mirror stacks ----------------------------------------------------------
 
 def admittance_reflectivity(n_in, n_out, layer_indices):

@@ -665,6 +665,26 @@ def test_cli_result_out_of_float_range_is_one_error_line(tmp_path, capsys, text,
     assert not re.search(r"nan|inf", written, flags=re.I)
 
 
+# 10^15 float64 samples are 7.11 PiB, beyond the address space: NumPy refuses
+# them before allocating anything
+HUGE = "1000000000000000"
+
+
+@pytest.mark.parametrize("text, argv", [
+    pytest.param(BASE_WAVEGUIDE + SMALL_GRID, ["gap-scan", "--steps", HUGE], id="gap-scan"),
+    pytest.param(BASE_WAVEGUIDE + SMALL_GRID, ["gap-scan", "--phase-scan", "--phase-steps", HUGE],
+                 id="phase-scan"),
+    pytest.param(BASE_WAVEGUIDE + TRAP_BLOCK + f"z_samples = {HUGE}\n", ["trap"], id="trap"),
+])
+def test_cli_array_too_large_to_allocate_is_one_error_line(tmp_path, capsys, text, argv):
+    cfg = write_config(tmp_path, text)
+    code, out, err = run_cli(capsys, argv[0], cfg, *argv[1:], "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert out == ""
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_mode_rejects_a_wavelength_that_rounds_away_the_stencil(tmp_path, capsys):
     # at 1e-5 nm the shift k0^2 n_core^2 = 3.9e18 per um^2 has an ulp far
     # above the 64^2 grid's 1/dx^2 = 7.1 per um^2: the solve would print a

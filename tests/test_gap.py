@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ridgecav import (
+    AtomParams,
+    CavitySpec,
     GapConfig,
     GapResult,
     GridSpec,
@@ -14,6 +16,7 @@ from ridgecav import (
     composite_round_trip,
     field_enhancement,
     fresnel_interface,
+    full_budget,
     gap_scattering,
     loss_spectrum,
     round_trip_phase_scan,
@@ -289,6 +292,50 @@ def test_closed_form_equals_literal_ladder_sum(w0_um, d_um, n_interface, log_tol
     assert abs(field_enhancement(f, cfg, arm_phase) - ratio) < 1e-12
 
 
+def _constructive_figures(mode):
+    """Loss at d = 1.96 um and the constructive r_rt (budget's minimum over 360 phases)."""
+    cfg = GapConfig(d_um=1.96)
+    return gap_scattering(mode, cfg).loss, round_trip_phase_scan(mode, cfg, 360)[1].min()
+
+
+def test_measured_grid_convergence_of_the_gap_outputs(ridge_mode):
+    # the printed outputs carry 6 digits but the grid error is far larger
+    # than n_eff's (about 1e-5): from 256^2 to 512^2 to 1024^2 the mode area
+    # moves 0.11% then 0.37% (not monotone: the ridge edge cuts a cell at a
+    # grid-dependent fraction), the loss 0.23% then 0.50%, r_rt 1.9e-4 then 5.5e-4
+    measured = [(8.31709, 0.0573882, 0.889699),
+                (8.30754, 0.0572540, 0.889884),
+                (8.33788, 0.0569681, 0.890438)]
+    for n, (area, loss, r_rt) in zip((256, 512, 1024), measured):
+        mode = ridge_mode if n == 256 else solve_fundamental_mode(
+            RIDGE, GridSpec(nx=n, ny=n, window_x_um=24.0, window_y_um=24.0))
+        assert mode.mode_area_um2 == pytest.approx(area, rel=1e-6)
+        assert _constructive_figures(mode) == pytest.approx((loss, r_rt), rel=1e-6)
+
+
+def _zero_padded(f, k):
+    """f centred in a window k times as wide on each axis, zero outside the original one."""
+    amplitudes = np.zeros((k * f.nx, k * f.ny), complex)
+    ox, oy = (k - 1) * f.nx // 2, (k - 1) * f.ny // 2
+    amplitudes[ox:ox + f.nx, oy:oy + f.ny] = f.amplitudes
+    return replace(f, amplitudes=amplitudes)
+
+
+def test_measured_window_convergence_of_the_gap_model(ridge_mode):
+    # the solved mode is zero outside its window, so padding it is exact for
+    # that mode and leaves only the gap model's window error: at 2x and 4x
+    # the loss moves by 1.2e-5 and 1.3e-5 (converged to 2e-6, an order below
+    # the grid error), r_rt by -2.6e-5, and the evanescent power dropped
+    # from 1.501e-4 of the mode to about 1.47e-4
+    measured = [(0.0573882, 0.889699, 1.501e-4),
+                (0.0574000, 0.889673, 1.469e-4),
+                (0.0574016, 0.889673, 1.475e-4)]
+    for k, (loss, r_rt, dropped) in zip((1, 2, 4), measured):
+        f = _zero_padded(ridge_mode.field, k)
+        assert _constructive_figures(f) == pytest.approx((loss, r_rt), rel=1e-6)
+        assert 1.0 - _spectrum(f)[1].sum() == pytest.approx(dropped, abs=1e-7)
+
+
 def test_brute_force_bounce_agreement(ridge_mode):
     # the series built from single long-haul propagations must match the
     # literal bounce-by-bounce simulation of the same field
@@ -388,10 +435,8 @@ def test_band_limited_bounces_equal_the_fine_grid_loop_on_gaussians(
     assert abs(brute.t_amplitude - t_amp) < 1e-12
 
 
-def test_reference_mode_bounces_on_a_64_grid(ridge_mode, monkeypatch):
-    # the mode is transformed onto its band box by one 1-D pass per axis at
-    # 256 and no 2-D transform at 256^2; every 2-D transform is 64^2: the
-    # injection, the partner and 6 forward plus 6 backward crossings (b = 7)
+def _spy_on_ffts(monkeypatch):
+    """A list that records (name, input shape, axis) of every fft, fft2 and ifft2 call."""
     calls = []
 
     def spying(name, transform):
@@ -402,6 +447,23 @@ def test_reference_mode_bounces_on_a_64_grid(ridge_mode, monkeypatch):
 
     for name in ("fft", "fft2", "ifft2"):
         monkeypatch.setattr(np.fft, name, spying(name, getattr(np.fft, name)))
+    return calls
+
+
+def test_spectrum_takes_one_1d_pass_per_axis_and_no_full_grid_transform(ridge_mode,
+                                                                         monkeypatch):
+    # the band transform along y (all 256 columns), then along x on the 61
+    # band columns; the total comes from Parseval's theorem, not from an fft2
+    calls = _spy_on_ffts(monkeypatch)
+    _spectrum(ridge_mode.field)
+    assert calls == [("fft", (256, 256), 1), ("fft", (256, 61), 0)]
+
+
+def test_reference_mode_bounces_on_a_64_grid(ridge_mode, monkeypatch):
+    # the mode is transformed onto its band box by one 1-D pass per axis at
+    # 256 and no 2-D transform at 256^2; every 2-D transform is 64^2: the
+    # injection, the partner and 6 forward plus 6 backward crossings (b = 7)
+    calls = _spy_on_ffts(monkeypatch)
     brute_force_gap_scattering(ridge_mode, GapConfig(d_um=1.96), n_bounces=48)
     one_d = [(shape, axis) for name, shape, axis in calls if name == "fft"]
     two_d = [shape for name, shape, _ in calls if name != "fft"]
@@ -423,18 +485,19 @@ def _kz_and_mask(f):
 
 @pytest.mark.parametrize("grid", [None, *BOUNCE_GRIDS])
 def test_band_box_spectrum_and_transfer_equal_the_full_grid_construction(ridge_mode, grid):
-    # k_z is built on the propagating box alone; the spectrum and the transfer
-    # function equal the full-grid construction bit for bit, so no propagating
-    # wave lies outside the box
+    # k_z and F are built on the propagating box alone; the spectrum and the
+    # transfer function equal the full-grid construction bit for bit, so no
+    # propagating wave lies outside the box.  Both divide by Parseval's total
     fields = ([ridge_mode.field] if grid is None else
               [_offset_gaussian(grid, 2.0, (0.7, -0.4), wl) for wl in (700.0, 780.0, 900.0)])
     for f in fields:
         kz, mask = _kz_and_mask(f)
         weights = np.abs(np.fft.fft2(f.amplitudes)) ** 2
+        total = f.nx * f.ny * np.sum(np.abs(f.amplitudes) ** 2)
         kz_distinct, which = np.unique(kz[mask], return_inverse=True)
         kz_box, w_box = _spectrum(f)
         assert np.array_equal(kz_box, kz_distinct)
-        assert np.array_equal(w_box, np.bincount(which, weights=weights[mask]) / weights.sum())
+        assert np.array_equal(w_box, np.bincount(which, weights=weights[mask]) / total)
         for d_um in (0.0, 1.96, 7.3):
             expected = np.where(mask, np.exp(1j * kz * d_um), 0.0)
             assert np.array_equal(propagation._transfer_function(f, d_um), expected)
@@ -460,7 +523,7 @@ def test_too_few_bounces_name_the_count():
     # a truncated bounce sum, like the series' N-term sum, is not bounded by
     # energy: two hits at d = 1 um give R + T = 1.07
     f = make_gaussian(2.0, nx=64)
-    message = r"^R \+ T = 1\.06967 exceeds 1 after 2 bounces: n_bounces = 2 is too few$"
+    message = r"^R \+ T = 1\.06966808 exceeds 1 after 2 bounces: n_bounces = 2 is too few$"
     with pytest.raises(SeriesNotConverged, match=message):
         brute_force_gap_scattering(f, GapConfig(d_um=1.0, n_interface=1.5), n_bounces=2)
 
@@ -472,16 +535,21 @@ def test_too_few_bounces_name_the_count():
     cladding_thickness_um=st.floats(3.0, 5.0),
     wavelength_nm=st.floats(760.0, 800.0),
     d_um=st.floats(0.3, 3.0),
+    length_um=st.floats(100.0, 1000.0),
     scale=st.sampled_from([1.5, 2.0, 3.0]),
 )
 def test_results_are_invariant_under_scaling_every_length(
         ridge_width_um, ridge_height_um, core_thickness_um, cladding_thickness_um,
-        wavelength_nm, d_um, scale):
+        wavelength_nm, d_um, length_um, scale):
     # the model has no length of its own: scaling every length and the
     # wavelength by s leaves n_eff, area / s^2, R, T and the brute-force T as
     # they were, so a um/nm slip anywhere in the chain would show.  s = 2 is
     # exact in binary; at 1.5 and 3 the worst seen was 4.6e-15 (2.6e-14
-    # relative in the area)
+    # relative in the area).  The budget follows with the cavity length, the
+    # gap and 1/alpha scaled too and the atom held fixed: the constructive
+    # r_rt, the finesse, FSR s, g s^1.5 (V = A L) and C s^2 (kappa ~ FSR / F)
+    # stay put, exactly at s = 2 where the arithmetic is exact (r_rt, finesse,
+    # FSR); the worst seen over 300 random cases was 5.2e-14 relative, in C
     def solve_and_scatter(s):
         geometry = replace(RIDGE, ridge_width_um=ridge_width_um * s,
                            ridge_height_um=ridge_height_um * s,
@@ -493,15 +561,23 @@ def test_results_are_invariant_under_scaling_every_length(
         cfg = GapConfig(d_um=d_um * s)
         series = gap_scattering(mode, cfg)
         brute = brute_force_gap_scattering(mode, cfg, n_bounces=48)
-        return np.array([mode.n_eff, series.R, series.T, brute.T]), mode.mode_area_um2 / s**2
+        r_rt = round_trip_phase_scan(mode, cfg, 360)[1].min()
+        spec = CavitySpec(length_um=length_um * s, n_group=3.5, alpha_per_cm=1.03 / s)
+        b = full_budget(mode.mode_area_um2, spec, float(r_rt), AtomParams())
+        budget = [r_rt, b.finesse, b.fsr_GHz * s, b.g_over_2pi_MHz * s**1.5,
+                  b.cooperativity * s**2]
+        return (np.array([mode.n_eff, series.R, series.T, brute.T]), mode.mode_area_um2 / s**2,
+                np.array(budget))
 
-    values, area = solve_and_scatter(1.0)
-    scaled_values, scaled_area = solve_and_scatter(scale)
+    values, area, budget = solve_and_scatter(1.0)
+    scaled_values, scaled_area, scaled_budget = solve_and_scatter(scale)
     if scale == 2.0:
         assert np.array_equal(scaled_values, values) and scaled_area == area
+        assert np.array_equal(scaled_budget[:3], budget[:3])
     else:
         assert np.max(np.abs(scaled_values - values)) < 4e-14
         assert abs(scaled_area - area) < 1e-13 * area
+    assert np.max(np.abs(scaled_budget / budget - 1.0)) < 2e-13
 
 
 @given(
