@@ -12,6 +12,7 @@ which makes reruns byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -29,8 +30,9 @@ from .errors import (
     NoGuidedMode,
     RidgecavError,
     SeriesNotConverged,
+    check_value,
 )
-from .fields import _write_lines, save_field_csv
+from .fields import _fmt, _write_lines, save_field_csv
 from .gap import _check_scan, loss_spectrum, round_trip_phase_scan
 from .trap import potential_profile, trap_analysis
 from .waveguide import solve_fundamental_mode
@@ -50,8 +52,13 @@ _EXIT_CODES = (
 )
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".6g")
+@contextlib.contextmanager
+def _sized_by(name, value):
+    """Blame an array too large to allocate on the setting that sized it."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ValueError(f"{name} = {value} is too large: {exc}") from None
 
 
 def cmd_mode(args) -> int:
@@ -69,18 +76,19 @@ def cmd_gap_scan(args) -> int:
     cfg = load_config(args.config)
     # validate the scan range before paying for the mode solve
     if args.phase_scan:
-        if args.phase_steps < 1:
-            raise ConfigError(f"need --phase-steps >= 1, got {args.phase_steps}")
+        check_value("--phase-steps", args.phase_steps, ge=1)
     else:
         _check_scan(args.d_min, args.d_max, args.steps)
     mode = solve_fundamental_mode(cfg.geometry, cfg.grid)
     if args.phase_scan:
-        phases, rrt = round_trip_phase_scan(mode, cfg.gap, n_phases=args.phase_steps)
+        with _sized_by("--phase-steps", args.phase_steps):
+            phases, rrt = round_trip_phase_scan(mode, cfg.gap, n_phases=args.phase_steps)
         lines = ["phase_rad,r_rt"]
         lines += [f"{_fmt(p)},{_fmt(v)}" for p, v in zip(phases, rrt)]
         out_csv = os.path.join(args.out, "phase_scan.csv")
     else:
-        rows = loss_spectrum(mode, args.d_min, args.d_max, args.steps, base_cfg=cfg.gap)
+        with _sized_by("--steps", args.steps):
+            rows = loss_spectrum(mode, args.d_min, args.d_max, args.steps, base_cfg=cfg.gap)
         lines = ["d_um,R,T,loss"]
         lines += [f"{_fmt(d)},{_fmt(r)},{_fmt(t)},{_fmt(l)}" for d, r, t, l in rows]
         out_csv = os.path.join(args.out, "gap_scan.csv")
@@ -143,22 +151,15 @@ def cmd_fit(args) -> int:
 def cmd_budget(args) -> int:
     cfg = load_config(args.config)
     budget_cfg = cfg.budget
-    need_mode = budget_cfg.mode_area_um2 is None or (
-        not args.no_gap and budget_cfg.gap_amplitude is None
-    )
-    mode = solve_fundamental_mode(cfg.geometry, cfg.grid) if need_mode else None
-    area = (
-        budget_cfg.mode_area_um2
-        if budget_cfg.mode_area_um2 is not None
-        else mode.mode_area_um2
-    )
-    if args.no_gap:
-        gap_amp = None
-    elif budget_cfg.gap_amplitude is not None:
-        gap_amp = budget_cfg.gap_amplitude
-    else:
-        _, rrt = round_trip_phase_scan(mode, cfg.gap, n_phases=budget_cfg.phase_samples)
-        gap_amp = float(rrt.min())  # constructive in-gap interference
+    gap_amp = None if args.no_gap else budget_cfg.gap_amplitude
+    scan_gap = not args.no_gap and gap_amp is None
+    area = budget_cfg.mode_area_um2
+    if area is None or scan_gap:
+        mode = solve_fundamental_mode(cfg.geometry, cfg.grid)
+        area = mode.mode_area_um2 if area is None else area
+        if scan_gap:
+            _, rrt = round_trip_phase_scan(mode, cfg.gap, n_phases=budget_cfg.phase_samples)
+            gap_amp = float(rrt.min())  # constructive in-gap interference
     budget = full_budget(area, cfg.cavity, gap_amp, cfg.atom, budget_cfg.enhancement)
 
     for pairs in sorted({3, 6, cfg.mirror.pairs}):
@@ -192,7 +193,8 @@ def cmd_trap(args) -> int:
     trap_cfg = cfg.trap
     if trap_cfg is None:
         raise ConfigError("trap.c4_J_m4 is required for trap calculations")
-    z_um, u_J = potential_profile(trap_cfg)
+    with _sized_by("[trap] z_samples", trap_cfg.z_samples):
+        z_um, u_J = potential_profile(trap_cfg)
     lines = ["z_um,U_J,U_uK"]
     lines += [
         f"{_fmt(z)},{_fmt(u)},{_fmt(u / KB_J_PER_K * 1e6)}" for z, u in zip(z_um, u_J)

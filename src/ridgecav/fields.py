@@ -8,12 +8,18 @@ on the window edge.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import check_fields, check_value
+
+
+_FMT = "%.6g"  # every printed number: 6 significant digits, so reruns match byte for byte
+
+
+def _fmt(x) -> str:
+    return _FMT % x
 
 
 def _cell_centres(n: int, step: float) -> np.ndarray:
@@ -130,11 +136,11 @@ def field_to_csv_rows(f: SampledField):
     Each distinct amplitude value is formatted once.  Values are told apart
     by their bit pattern, so -0.0 keeps its own text (`-0`).
     """
-    xs = [f"{x:.6g}" for x in f.x_coords_um()]
-    ys = [f"{y:.6g}" for y in f.y_coords_um()]
+    xs = [_fmt(x) for x in f.x_coords_um()]
+    ys = [_fmt(y) for y in f.y_coords_um()]
     parts = np.stack([f.amplitudes.real, f.amplitudes.imag])
     bits, index = np.unique(parts.view(np.uint64).ravel(), return_inverse=True)
-    text = np.array(["%.6g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    text = np.array([_FMT % v for v in bits.view(np.float64).tolist()], dtype=object)
     re_text, im_text = text[index.reshape(parts.shape)]
     yield "x_um,y_um,re,im"
     for x, re_row, im_row in zip(xs, re_text.tolist(), im_text.tolist()):
@@ -143,14 +149,13 @@ def field_to_csv_rows(f: SampledField):
 
 
 def _write_lines(path, lines) -> None:
-    """Write LF-terminated lines to a temporary file and rename it to path."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    umask = os.umask(0)
-    os.umask(umask)
+    """Write LF-terminated lines to a random `*.tmp` beside path, then rename it to path."""
+    path = os.path.abspath(path)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    # created as open() creates a file: mode 0666 less the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; give the usual file mode
         with os.fdopen(fd, "w", newline="\n") as fh:
             for line in lines:
                 fh.write(line + "\n")
@@ -168,17 +173,18 @@ def save_field_csv(f: SampledField, path) -> None:
 
 def load_field_csv(path, wavelength_nm: float) -> SampledField:
     """Read a field written by save_field_csv; grid inferred from coordinates."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim == 1:
-        data = data[None, :]
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     xs = np.unique(data[:, 0])
     ys = np.unique(data[:, 1])
     nx, ny = len(xs), len(ys)
+    if nx < 2 or ny < 2:
+        raise ValueError(f"need at least 2 distinct x and 2 distinct y to infer the grid step, "
+                         f"got {nx} x and {ny} y")
     if not (np.array_equal(data[:, 0], np.repeat(xs, ny))
             and np.array_equal(data[:, 1], np.tile(ys, nx))):
         raise ValueError("CSV rows must list the full grid once, x outer, y inner, ascending")
     # span-based spacing averages out the per-coordinate rounding in the file
-    dx = float((xs[-1] - xs[0]) / (nx - 1)) if nx > 1 else 1.0
-    dy = float((ys[-1] - ys[0]) / (ny - 1)) if ny > 1 else 1.0
+    dx = float((xs[-1] - xs[0]) / (nx - 1))
+    dy = float((ys[-1] - ys[0]) / (ny - 1))
     amps = (data[:, 2] + 1j * data[:, 3]).reshape(nx, ny)
     return SampledField(amplitudes=amps, dx_um=dx, dy_um=dy, wavelength_nm=wavelength_nm)

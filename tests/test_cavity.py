@@ -340,6 +340,17 @@ def test_fit_rejects_malformed_rows(data, row):
         fit_losses(data)
 
 
+@pytest.mark.parametrize("data, message", [
+    ([(0.0, 21.7), (650.0, 16.9), (1300.0, 12.3)], "lengths and finesses must be positive"),
+    ([(260.0, 21.7), (650.0, -16.9), (1300.0, 12.3)], "lengths and finesses must be positive"),
+    ([(260.0, 21.7, 0.5), (650.0, 16.9, 0.0), (1300.0, 12.3, 0.5)],
+     "finesse sigmas must be positive"),
+], ids=["zero-length", "negative-finesse", "zero-sigma"])
+def test_fit_rejects_non_positive_data(data, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit_losses(data)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
 def test_fit_rejects_sigmas_that_overflow_the_residuals():
     with pytest.raises(ValueError, match="start values must be finite, got inf"):

@@ -22,7 +22,7 @@ from ridgecav import (
     WaveguideGeometry,
     load_field_csv,
 )
-from ridgecav import cavity, config, waveguide
+from ridgecav import cavity, cli, config, waveguide
 from ridgecav.cli import main
 from ridgecav.config import BudgetSettings, MirrorSettings, load_config
 
@@ -132,6 +132,19 @@ def test_syntax_error_reports_line(tmp_path):
     text = "just some text, no block header\n"
     with pytest.raises(ConfigError, match="line 1"):
         load_config(write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, r"^cannot read config: \[Errno 2\] No such file or directory"),
+    (BASE_WAVEGUIDE + "a line with no equals sign\n",
+     r"^line 8: syntax error: Source contains parsing errors"),
+], ids=["unreadable", "syntax-error"])
+def test_unloadable_config_is_named(tmp_path, text, message):
+    path = tmp_path / "project.cfg"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -392,7 +405,7 @@ def test_cli_phase_scan_rejects_zero_phase_steps(tmp_path, capsys):
         capsys, "gap-scan", cfg, "--phase-scan", "--phase-steps", "0", "--out", str(tmp_path)
     )
     assert code == 2
-    assert "--phase-steps" in err
+    assert err == "error: --phase-steps must be >= 1, got 0\n"
     assert out == ""
     assert not (tmp_path / "phase_scan.csv").exists()
 
@@ -468,6 +481,26 @@ def test_cli_fit_bad_cell(tmp_path, capsys):
     assert "row 3" in err and "finesse" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read data: [Errno 2] No such file or directory"),
+    ("", "data CSV is empty"),
+    ("length_um,Q\n260,21.7\n", "expected header 'length_um,finesse' or "
+                                 "'length_um,finesse,sigma', got 'length_um,Q'"),
+    ("length_um,finesse\n260,21.7\n650,16.9,0.5\n", "row 3: expected 2 columns, got 3"),
+    # blank rows are skipped, and row numbers still count them
+    ("length_um,finesse\n\n260,21.7\n , \n650,oops\n",
+     "row 5, column 2 ('finesse'): 'oops' is not a number"),
+], ids=["unreadable", "empty", "header", "column-count", "blank-rows"])
+def test_cli_fit_rejects_unreadable_data(tmp_path, capsys, text, message):
+    data = tmp_path / "finesse.csv"
+    if text is not None:
+        data.write_text(text)
+    code, out, err = run_cli(capsys, "fit", str(data))
+    assert code == 2
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert out == ""
+
+
 def test_cli_fit_that_does_not_converge_exits_5(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cavity, "_MAX_STEPS", 1)
     data = tmp_path / "finesse.csv"
@@ -495,6 +528,42 @@ def test_cli_budget_reference_numbers(tmp_path, capsys):
     assert float(values["kappa_total_GHz"]) == pytest.approx(4.8, abs=0.3)
     assert float(values["mirror_R_3pair_percent"]) == pytest.approx(91.3, abs=1.5)
     assert float(values["mirror_R_6pair_percent"]) == pytest.approx(99.4, abs=0.3)
+
+
+@pytest.mark.parametrize("pinned, no_gap, solves, scans", [
+    ("", False, 1, 1),
+    ("", True, 1, 0),
+    ("gap_amplitude = 0.93\n", False, 1, 0),
+    ("gap_amplitude = 0.93\n", True, 1, 0),
+    ("mode_area_um2 = 9.9\n", False, 1, 1),
+    ("mode_area_um2 = 9.9\n", True, 0, 0),
+    ("mode_area_um2 = 9.9\ngap_amplitude = 0.93\n", False, 0, 0),
+    ("mode_area_um2 = 9.9\ngap_amplitude = 0.93\n", True, 0, 0),
+])
+def test_cli_budget_solves_and_scans_only_what_is_not_pinned(tmp_path, capsys, monkeypatch,
+                                                             pinned, no_gap, solves, scans):
+    # the mode is solved for an unpinned area or an unpinned gap amplitude,
+    # and the phase scan runs only for the gap amplitude; --no-gap drops it
+    calls = {"solve": 0, "scan": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "solve_fundamental_mode", counted("solve", cli.solve_fundamental_mode))
+    monkeypatch.setattr(cli, "round_trip_phase_scan", counted("scan", cli.round_trip_phase_scan))
+    cfg = write_config(tmp_path, BASE_WAVEGUIDE + SMALL_GRID + "\n[budget]\n" + pinned)
+    code, out, _ = run_cli(capsys, "budget", cfg, *(["--no-gap"] if no_gap else []))
+    assert code == 0
+    assert calls == {"solve": solves, "scan": scans}
+    values = dict(line.split("=", 1) for line in out.splitlines())
+    if "mode_area_um2" in pinned:
+        assert values["mode_area_um2"] == "9.9"
+    assert ("gap_round_trip_amplitude" in values) == (not no_gap)
+    if "gap_amplitude" in pinned and not no_gap:
+        assert values["gap_round_trip_amplitude"] == "0.93"
 
 
 def test_cli_budget_no_gap_intrinsic_finesse(tmp_path, capsys):
@@ -670,17 +739,21 @@ def test_cli_result_out_of_float_range_is_one_error_line(tmp_path, capsys, text,
 HUGE = "1000000000000000"
 
 
-@pytest.mark.parametrize("text, argv", [
-    pytest.param(BASE_WAVEGUIDE + SMALL_GRID, ["gap-scan", "--steps", HUGE], id="gap-scan"),
+@pytest.mark.parametrize("text, argv, named", [
+    pytest.param(BASE_WAVEGUIDE + SMALL_GRID, ["gap-scan", "--steps", HUGE], "--steps",
+                 id="gap-scan"),
     pytest.param(BASE_WAVEGUIDE + SMALL_GRID, ["gap-scan", "--phase-scan", "--phase-steps", HUGE],
-                 id="phase-scan"),
-    pytest.param(BASE_WAVEGUIDE + TRAP_BLOCK + f"z_samples = {HUGE}\n", ["trap"], id="trap"),
+                 "--phase-steps", id="phase-scan"),
+    pytest.param(BASE_WAVEGUIDE + TRAP_BLOCK + f"z_samples = {HUGE}\n", ["trap"],
+                 "[trap] z_samples", id="trap"),
 ])
-def test_cli_array_too_large_to_allocate_is_one_error_line(tmp_path, capsys, text, argv):
+def test_cli_array_too_large_to_allocate_is_one_error_line(tmp_path, capsys, text, argv, named):
+    # the error names the setting that sized the array, then NumPy's reason
     cfg = write_config(tmp_path, text)
     code, out, err = run_cli(capsys, argv[0], cfg, *argv[1:], "--out", str(tmp_path))
     assert code == 2
-    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert err.startswith(f"error: {named} = {HUGE} is too large: Unable to allocate")
+    assert err.count("\n") == 1
     assert out == ""
     assert not list(tmp_path.glob("*.csv"))
 

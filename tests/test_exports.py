@@ -41,6 +41,22 @@ def test_no_unused_module_imports():
     assert paths and not unused
 
 
+def test_library_changes_no_process_wide_state():
+    # stands in for a lint rule: the umask, the working directory, NumPy's
+    # error and print settings and the warning filters belong to the caller;
+    # a scoped np.errstate is fine
+    banned = {("os", "umask"), ("os", "chdir"), ("np", "seterr"),
+              ("np", "set_printoptions"), ("warnings", "simplefilter")}
+    calls = []
+    for path in sorted((ROOT / "src" / "ridgecav").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and (node.func.value.id, node.func.attr) in banned):
+                calls.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not calls
+
+
 def test_raises_use_value_error_or_an_error_class_with_its_own_exit_code():
     # an out-of-domain input is a ValueError; a RidgecavError subclass exists
     # only where a caller can tell it apart: ConfigError's line number, or an

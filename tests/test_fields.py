@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ridgecav import GridSpec, SampledField, load_field_csv, save_field_csv
-from ridgecav.fields import field_to_csv_rows
+from ridgecav.fields import _write_lines, field_to_csv_rows
 
 
 def test_gridspec_rejects_non_power_of_two():
@@ -39,6 +39,12 @@ def test_zero_field_cannot_be_normalized():
         f.normalized()
 
 
+@pytest.mark.parametrize("shape", [(16,), (4, 4, 4)], ids=["1-D", "3-D"])
+def test_field_rejects_amplitudes_that_are_not_2d(shape):
+    with pytest.raises(ValueError, match="^amplitudes must be a 2-D array$"):
+        SampledField(np.ones(shape), dx_um=0.5, dy_um=0.5)
+
+
 def test_field_rejects_non_finite_amplitudes():
     amps = np.ones((16, 16), dtype=complex)
     amps[3, 3] = np.nan
@@ -68,6 +74,38 @@ def test_csv_rows_out_of_grid_order_rejected(tmp_path, rows):
     path.write_text("x_um,y_um,re,im\n" + rows)
     with pytest.raises(ValueError, match="x outer, y inner"):
         load_field_csv(path, wavelength_nm=780.0)
+
+
+@pytest.mark.parametrize("rows, nx, ny", [
+    ("0,0,1,0\n0,1,2,0\n", 1, 2),
+    ("0,0,1,0\n1,0,2,0\n", 2, 1),
+    ("0,0,1,0\n", 1, 1),
+], ids=["one-x", "one-y", "one-row"])
+def test_csv_with_one_sample_along_an_axis_rejected(tmp_path, rows, nx, ny):
+    # one sample along an axis implies no grid step
+    path = tmp_path / "field.csv"
+    path.write_text("x_um,y_um,re,im\n" + rows)
+    with pytest.raises(ValueError, match=f"got {nx} x and {ny} y$"):
+        load_field_csv(path, wavelength_nm=780.0)
+
+
+@pytest.mark.parametrize("existing", [None, "old contents\n"], ids=["new", "replaced"])
+def test_write_that_fails_partway_leaves_no_file_behind(tmp_path, existing):
+    # the lines go to a temporary file that is removed when the source
+    # raises; the target is never half written
+    path = tmp_path / "out.csv"
+    if existing is not None:
+        path.write_text(existing)
+
+    def lines():
+        yield "a,b"
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        _write_lines(path, lines())
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out.csv"] if existing else [])
+    if existing is not None:
+        assert path.read_text() == existing
 
 
 def test_csv_round_trip(tmp_path):
