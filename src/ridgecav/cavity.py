@@ -1,14 +1,11 @@
 """Fabry-Perot relations, quarter-wave mirror stacks and the loss fit.
 
 The round-trip amplitude factor g = sqrt(R_left R_right) exp(-alpha l)
-(optionally times the gap round-trip amplitude) drives the finesse
-
-    F = pi sqrt(g) / (1 - g),
-
-and finesse times linewidth gives back the free spectral range
-c / (2 n_g l).  `fit_losses` inverts measured finesse-vs-length data for
-(R, alpha) by a bounded Levenberg-Marquardt fit on the analytic Jacobian,
-in NumPy alone, so `ridgecav fit` never imports SciPy.
+(optionally times the gap round-trip amplitude) sets the finesse
+(`finesse_from_round_trip`), and finesse times linewidth gives back the free
+spectral range c / (2 n_g l).  `fit_losses` inverts measured finesse-vs-length
+data for (R, alpha) by a bounded Levenberg-Marquardt fit on the analytic
+Jacobian.
 """
 
 from __future__ import annotations
@@ -144,25 +141,18 @@ def quarter_wave_stack(pairs: int, n_high: float = 2.35, n_low: float = 1.50,
     the mismatch and hence the reflectivity.
     """
     check_value("pairs", pairs, ge=0)
-    layers = []
-    for _ in range(pairs):
-        layers.append((n_low, wavelength_nm / (4.0 * n_low)))
-        layers.append((n_high, wavelength_nm / (4.0 * n_high)))
+    layers = [(n, wavelength_nm / (4.0 * n)) for _ in range(pairs) for n in (n_low, n_high)]
     return MirrorStack(layers=tuple(layers), n_incident=n_incident, n_exit=n_exit)
 
 
 def stack_reflectivity(stack: MirrorStack, wavelength_nm: float) -> float:
     """Normal-incidence intensity reflectivity by the characteristic matrix."""
+    check_value("wavelength_nm", wavelength_nm, gt=0)
     m = np.eye(2, dtype=complex)
     for n, t_nm in stack.layers:
         delta = 2.0 * np.pi * n * t_nm / wavelength_nm
-        layer = np.array(
-            [
-                [np.cos(delta), 1j * np.sin(delta) / n],
-                [1j * n * np.sin(delta), np.cos(delta)],
-            ]
-        )
-        m = m @ layer
+        cos, sin = np.cos(delta), np.sin(delta)
+        m = m @ np.array([[cos, 1j * sin / n], [1j * n * sin, cos]])
     b, c = m @ np.array([1.0, stack.n_exit], dtype=complex)
     r = (stack.n_incident * b - c) / (stack.n_incident * b + c)
     refl = float(abs(r) ** 2)
@@ -222,12 +212,10 @@ def fit_losses(data) -> FitResult:
     sigma); any other row raises ValueError naming it.  Weighted residuals
     when sigmas are given, plain residuals otherwise.  Start values come from
     the data itself (R from the best point at alpha = 0, alpha from the two
-    extreme lengths).  A bounded Levenberg-Marquardt iteration on the
-    analytic Jacobian then refines them, with R in [1e-9, 1 - 1e-12] and
-    alpha >= 0: a step that would cross a bound puts that parameter on the
-    bound and solves for the other with it held there.  The fit stops when a
-    step is at most 1e-10 of |(R, alpha)|, taking that step only if it lowers
-    the cost, and raises FitDiverged if it has not stopped after 200 steps.
+    extreme lengths).  Bounded Levenberg-Marquardt steps (`_bounded_trial`)
+    then refine them, with R in [1e-9, 1 - 1e-12] and alpha >= 0, until a
+    step is at most _XTOL of |(R, alpha)|, taken only if it lowers the cost;
+    FitDiverged is raised if that takes more than _MAX_STEPS steps.
     The covariance is (J^T J)^-1 at the solution (the pseudo-inverse when
     J^T J is singular), scaled by the residual variance when no sigmas are
     given.
@@ -242,26 +230,23 @@ def fit_losses(data) -> FitResult:
                              f"{len(rows[0])}; give a sigma on every row or on none")
     if len(rows) < 3:
         raise ValueError(f"need >= 3 data points, got {len(rows)}")
-    if not np.all(np.isfinite([v for row in rows for v in row])):
+    table = np.array(rows)
+    if not np.isfinite(table).all():
         raise ValueError("lengths, finesses and sigmas must be finite")
-    lengths = np.array([r[0] for r in rows])
-    finesses = np.array([r[1] for r in rows])
+    lengths, finesses = table[:, 0], table[:, 1]
     if len(set(lengths.tolist())) < 2:
         raise ValueError("need measurements at >= 2 distinct lengths")
     if np.any(lengths <= 0) or np.any(finesses <= 0):
         raise ValueError("lengths and finesses must be positive")
-    weighted = len(rows[0]) == 3
-    sigmas = np.ones(len(rows))  # unweighted: plain residuals
-    if weighted:
-        sigmas = np.array([r[2] for r in rows])
-        if np.any(sigmas <= 0):
-            raise ValueError("finesse sigmas must be positive")
+    weighted = table.shape[1] == 3
+    sigmas = table[:, 2] if weighted else np.ones(len(rows))  # unweighted: plain residuals
+    if np.any(sigmas <= 0):
+        raise ValueError("finesse sigmas must be positive")
 
     g_best = _g_from_finesse_closed_form(finesses.max())
     r0 = float(np.clip(g_best, 0.05, 0.9999))
     i_lo, i_hi = int(np.argmin(lengths)), int(np.argmax(lengths))
-    g_lo = _g_from_finesse_closed_form(finesses[i_lo])
-    g_hi = _g_from_finesse_closed_form(finesses[i_hi])
+    g_lo, g_hi = _g_from_finesse_closed_form(finesses[[i_lo, i_hi]])
     alpha0 = np.log(max(g_lo, 1e-12) / max(g_hi, 1e-12)) / (
         (lengths[i_hi] - lengths[i_lo]) * 1e-4
     )

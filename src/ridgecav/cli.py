@@ -1,12 +1,7 @@
 """Batch front end: mode solve, gap scans, loss fit, budget and trap reports.
 
-Exit codes: 0 ok, 2 input validation, an --out that cannot be written,
-arithmetic overflow from extreme inputs or an array too large to allocate,
-3 no guided mode, 4 series convergence or a failed eigensolve, 5 fit failure.
-Reports go to stdout as `key=value` lines; tables are written as CSV files
-under --out (written to a temporary name and renamed, so a failed run never
-leaves a partial file).  All numbers are printed with 6 significant digits,
-which makes reruns byte-identical.
+Reports go to stdout as `key=value` lines and tables to CSV files under
+--out; README, "Command line", gives the exit codes and the file format.
 """
 
 from __future__ import annotations

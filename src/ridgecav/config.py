@@ -1,14 +1,4 @@
-"""Project configuration: plain-text key = value entries in named blocks.
-
-Example::
-
-    [waveguide]
-    ridge_width_um = 4.0
-    ridge_height_um = 4.0
-    core_thickness_um = 4.0
-    n_core = 3.155
-    n_clad = 3.145
-    wavelength_nm = 780.0
+"""Project configuration: key = value entries in named blocks, as in configs/reference.cfg.
 
 Each block is the frozen dataclass that validates it (`_BLOCKS`): its keys
 are the dataclass fields, a key parses as int where the field is typed int
@@ -19,14 +9,11 @@ file departs from the dataclasses in three places only:
 - `[cavity]` defaults to the reference 300 um cavity (`_FILE_DEFAULTS`);
 - `gap_round_trip_amplitude` is computed by the gap model, never read.
 
-`[trap]` is built only when it gives `c4_J_m4` (there is no universal wall
-coefficient); otherwise `ProjectConfig.trap` is None.  Unknown blocks or
-keys are rejected, every value is validated before any computation runs,
-and physical quantities carry their unit in the key name.
+`[trap]` is built only when it gives `c4_J_m4`.  Unknown blocks or keys are
+rejected, and every value is validated before any computation runs.
 
-A key's domain is declared on its dataclass field as gt/ge/lt/le metadata
-and enforced, with finiteness, by `errors.check_fields`; a value outside it
-fails as `[block] key must be <op> <bound>, got <value>`.
+A value outside its field's declared domain (`errors.check_fields`) fails
+as `[block] key must be <op> <bound>, got <value>`.
 """
 
 from __future__ import annotations

@@ -1,10 +1,8 @@
 """Exception types with an exit code of their own, and the shared domain check.
 
-An argument or setting outside its domain raises ValueError naming it;
-`check_value` holds the rule for constant bounds and finiteness.  A class
-below exists only where a caller can tell it apart by more than its message:
-ConfigError carries a line number, and every other subclass has its own
-entry in `cli._EXIT_CODES`.
+An argument or setting outside its domain raises ValueError naming it
+(`check_value`).  A class below exists only where a caller can tell it apart
+by more than its message: a line number, or an entry in `cli._EXIT_CODES`.
 """
 
 import dataclasses

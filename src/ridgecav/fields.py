@@ -26,6 +26,11 @@ def _cell_centres(n: int, step: float) -> np.ndarray:
     return (np.arange(n) - n / 2 + 0.5) * step
 
 
+def _wavenumber_per_um(wavelength_nm: float) -> float:
+    """Free-space k = 2 pi / lambda (1/um) of a wavelength in nm."""
+    return 2.0 * np.pi / (wavelength_nm * 1e-3)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform sampling grid: counts and physical window extents (um)."""
@@ -92,8 +97,7 @@ class SampledField:
 
     @property
     def wavenumber_per_um(self) -> float:
-        """Free-space k = 2 pi / lambda (1/um)."""
-        return 2.0 * np.pi / (self.wavelength_nm * 1e-3)
+        return _wavenumber_per_um(self.wavelength_nm)
 
     def power(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.cell_area_um2)
@@ -174,6 +178,9 @@ def save_field_csv(f: SampledField, path) -> None:
 def load_field_csv(path, wavelength_nm: float) -> SampledField:
     """Read a field written by save_field_csv; grid inferred from coordinates."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    columns = data.shape[1] if data.size else 0  # a header-only file reads as shape (0, 1)
+    if columns != 4:
+        raise ValueError(f"CSV rows must have 4 columns (x_um,y_um,re,im), got {columns}")
     xs = np.unique(data[:, 0])
     ys = np.unique(data[:, 1])
     nx, ny = len(xs), len(ys)
@@ -184,7 +191,6 @@ def load_field_csv(path, wavelength_nm: float) -> SampledField:
             and np.array_equal(data[:, 1], np.tile(ys, nx))):
         raise ValueError("CSV rows must list the full grid once, x outer, y inner, ascending")
     # span-based spacing averages out the per-coordinate rounding in the file
-    dx = float((xs[-1] - xs[0]) / (nx - 1))
-    dy = float((ys[-1] - ys[0]) / (ny - 1))
+    dx, dy = (float((c[-1] - c[0]) / (len(c) - 1)) for c in (xs, ys))
     amps = (data[:, 2] + 1j * data[:, 3]).reshape(nx, ny)
     return SampledField(amplitudes=amps, dx_um=dx, dy_um=dy, wavelength_nm=wavelength_nm)

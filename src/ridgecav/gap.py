@@ -14,28 +14,16 @@ through-product is 1 - r^2):
 where the sign difference comes from the air-side reflections being -r.
 Q(L) = sum w exp(i k_z L) over the mode's angular spectrum, so each plane
 wave crosses the gap as its own Airy etalon, and the N-term series sums in
-closed form per component (`_bounce_sums`).  The spectrum (the mode
-transformed onto the propagating band, one 1-D FFT per axis) is built once
-per solved mode: a ModeSolution keeps it for every later call, while a bare
-SampledField pays one per call, for one width or a scan.
-The phase uses k = 2 pi/lambda (the gap medium is air), so the etalon
-resonances fall at gap widths of an integer number of half wavelengths,
-slightly shifted by the diffraction (Gouy) phase of the mode.
+closed form per component (`_bounce_sums`).  A ModeSolution keeps its
+spectrum for every later call, while a bare SampledField pays one per call,
+for one width or a scan.  The phase uses k = 2 pi/lambda (the gap medium is
+air), so the etalon resonances fall at gap widths of an integer number of
+half wavelengths, slightly shifted by the diffraction (Gouy) phase of the mode.
 
-One array pass serves a whole width scan: `_bounce_sums` and `_series` take
-one width or a 1-D array of widths (in cache-sized blocks), and each scan row
-equals the single-width result bit for bit.  The pass keeps its operation
-order ((i k_z) d, then (r^2 z) z, then (w (1 - rho^N)) / (1 - rho)), takes
-each row's dot product through stacked matmul (the kernel of a 1-D a @ b;
-einsum and (g * z).sum round differently), and every R and T, of one width,
-a scan row or the bounce check, is abs(c) ** 2 of a Python complex in
-`_intensities`, which also holds the one R + T > 1 check of a truncated sum.
-
-`brute_force_gap_scattering` is an independent check: it bounces the field
-across the gap on the band-limited grid and collects each coupled amplitude
-as a real-space overlap with the mode; p_max caps only the series.
-`_check_scan` holds loss_spectrum's range check, which the CLI also runs
-before the mode solve.
+One array pass serves a whole width scan, and each scan row equals the
+single-width result bit for bit (README, "Conventions worth knowing", says
+what keeps it so).  `brute_force_gap_scattering` is an independent check
+that bounces the field across the gap; p_max caps only the series.
 """
 
 from __future__ import annotations
@@ -46,14 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SeriesNotConverged, check_fields, check_value
-from .propagation import _band, _band_amplitudes, _spectrum
+from .propagation import _band, _band_amplitudes, _on_grid, _spectrum, _transfer
 from .waveguide import ModeSolution
 
-# widths x k_z per block of a scan.  The three complex buffers (256 KiB each)
-# stay in a 2 MiB L2 cache: on a 2-core Xeon the reference 271-width scan ran
-# 25-40% faster this way than as one 271 x 406 pass.  The blocks also bound
-# the scan's scratch at three 40 x 406 buffers whatever the number of widths;
-# one pass would need about 19 GB at 10^6 widths.
+# widths x k_z per block of a scan: its three complex scratch buffers (256 KiB
+# each) stay cache-sized and bounded whatever the number of widths
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -230,6 +215,8 @@ def _check_scan(d_min_um: float, d_max_um: float, steps: int) -> None:
     """Reject a width scan loss_spectrum cannot run, before any work is done."""
     if not 0 <= d_min_um < d_max_um < math.inf:
         raise ValueError(f"need 0 <= d_min < d_max < inf, got [{d_min_um}, {d_max_um}]")
+    if not isinstance(steps, (int, np.integer)):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
 
@@ -254,29 +241,11 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     at each of the n_bounces interface hits the amplitude coupled into the
     mode is a real-space overlap with it; the remainder re-enters the gap
     with the air-side reflection -r, so hit n carries (-r)^n and the field
-    crossed n + 1 times.
-
-    The crossings run on the band-limited grid: every crossed field holds
-    only plane waves of the `_band` box, frequency indices -K..K, so a grid
-    of m >= 2K + 1 samples per axis over the same window, a power of two,
-    holds it exactly (64^2 for the 256^2 reference mode).  The mode is
-    transformed onto the box alone (`_band_amplitudes`, as for its spectrum),
-    and its in-band part is the overlap partner: its other plane waves meet
-    only zeros.  By Parseval's
-    identity on both grids, an overlap there times (m_x m_y)/(n_x n_y) and
-    the fine cell area is the fine-grid one, exactly.
-
-    The hits are taken in baby and giant steps (Shanks' split), b =
-    round(sqrt(n_bounces)).  The crossing P is unitary on the propagating
-    waves, and its adjoint is the crossing back, exp(-i k_z d).  So with
-    B_i the injected field crossed i + 1 times and G_q the mode's in-band
-    part crossed back q b d at once, hit n = q b + i couples
-    (-r)^n <G_q, B_i>: b - 1 forward and ceil(n_bounces / b) - 1 backward
-    crossings, 12 instead of 47 at 48 hits.  Each hit is still one scaled
-    vdot, and the check never forms |F|^2 weights, merges k_z or sums in
-    closed form, so it does not become the model it checks.  On the
-    reference mode it agrees with the literal 256^2 loop to about 1e-15 and
-    takes about 4 ms (13 ms crossing by crossing) on a 2-core Xeon.
+    crossed n + 1 times.  The crossings use propagation's band transfer on the
+    smallest power-of-two grid per axis that holds the `_band` box, taken in
+    baby and giant steps of b = round(sqrt(n_bounces)) (README, "Conventions
+    worth knowing").  The check never forms |F|^2 weights, merges k_z or sums
+    in closed form, so it does not become the model it checks.
 
     Raises SeriesNotConverged when the truncated bounce sum gives R + T
     above 1, as too few bounces can.
@@ -292,24 +261,20 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
         m = min(n, 1 << (i.size - 1).bit_length())  # a power of two >= the box, or n
         places.append((np.where(i > n // 2, i - n, i) % m, m))
     (cx, mx), (cy, my) = places
-
-    def on_band_grid(box: np.ndarray) -> np.ndarray:
-        out = np.zeros((mx, my), complex)
-        out[np.ix_(cx, cy)] = box
-        return out
+    band = (cx, cy), (mx, my)
 
     def crossing(amps: np.ndarray, transfer: np.ndarray) -> np.ndarray:
         return np.fft.ifft2(np.fft.fft2(amps) * transfer)
 
-    spectrum = on_band_grid(_band_amplitudes(f, ix, iy))
-    forward = on_band_grid(np.where(mask, np.exp(1j * kz * cfg.d_um), 0.0))
+    spectrum = _on_grid(_band_amplitudes(f, ix, iy), *band)
+    forward = _on_grid(_transfer(kz, mask, cfg.d_um), *band)
     scale = (mx * my) / (f.nx * f.ny) * f.cell_area_um2
     b = round(math.sqrt(n_bounces))
 
     baby = [np.fft.ifft2(s * spectrum * forward)]
     for _ in range(b - 1):
         baby.append(crossing(baby[-1], forward))
-    back = on_band_grid(np.where(mask, np.conj(np.exp(1j * kz * (b * cfg.d_um))), 0.0))
+    back = _on_grid(np.conj(_transfer(kz, mask, b * cfg.d_um)), *band)
     giant = np.fft.ifft2(spectrum)  # the mode's in-band part
     t_amp = 0.0 + 0.0j
     r_amp = complex(r)
@@ -329,8 +294,7 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
 def _round_trip(gap: GapResult, arm_phase_rad):
     """composite_round_trip's r_rt as an array, for one arm phase or an array of them.
 
-    A single phase goes through the same array kernels as a scan (numpy's
-    scalar exp and abs round differently), so it equals the scan's entry.
+    A single phase goes through a scan's array kernels, so it equals the scan's entry.
     """
     phase = np.exp(1j * np.atleast_1d(arm_phase_rad))
     return np.abs(

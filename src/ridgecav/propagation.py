@@ -1,10 +1,11 @@
 """Free-space propagation by the angular-spectrum method and overlap integrals.
 
-A field is decomposed into plane waves with a 2-D FFT; each component is
-advanced by exp(i k_z d) with k_z = sqrt(k^2 - kx^2 - ky^2) and k = 2 pi/lambda
-the free-space wavenumber.  Components with kx^2 + ky^2 > k^2 are
-evanescent and are zeroed instead of attenuated, which keeps the propagating
-part of the transfer function exactly unitary.
+A free-space step transforms the field onto the box of plane waves that can
+propagate (`_band`, `_band_amplitudes`), advances each by exp(i k_z d) with
+k_z = sqrt(k^2 - kx^2 - ky^2), k = 2 pi/lambda (`_transfer`), and puts the
+box back into a zero grid (`_on_grid`).  Evanescent components are zeroed
+instead of attenuated, so the step is exactly unitary on the propagating
+ones.  `propagate_free_space` and the gap's brute-force check share these helpers.
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ from .fields import SampledField
 def _band(f: SampledField):
     """((ix, iy), kz, mask): the box of plane waves that can propagate, and k_z on it.
 
-    ix and iy are the FFT-layout indices with |frequency index| <= K on each
-    axis, K the largest index with k_x^2 < k^2 (resp. k_y^2), in increasing
-    order; every propagating wave lies in their product box.  kz (zero where
-    evanescent) and the propagating mask are built on that box with the same
-    float operations as on the full grid, so they are its entries bit for
-    bit, and the box lists the full grid's propagating entries in the same
-    row-major order.
+    ix and iy are the increasing FFT-layout indices with |frequency index| <=
+    K, K the largest with k_x^2 < k^2 (resp. k_y^2), so their product box
+    holds every propagating wave; kz is zero where mask marks a wave
+    evanescent.  The band-box test in tests/test_gap.py pins both bit for bit.
     """
     k = f.wavenumber_per_um
     kx, ky = (2.0 * np.pi * np.fft.fftfreq(n, d) for n, d in ((f.nx, f.dx_um), (f.ny, f.dy_um)))
@@ -36,36 +34,39 @@ def _band(f: SampledField):
     return (ix, iy), np.sqrt(np.where(mask, kz2, 0.0)), mask
 
 
-def _transfer_function(f: SampledField, distance_um: float) -> np.ndarray:
-    """exp(i k_z d) on the propagating components, 0 on the evanescent ones."""
-    check_value("distance_um", distance_um, ge=0)
-    (ix, iy), kz, mask = _band(f)
-    transfer = np.zeros((f.nx, f.ny), complex)
-    transfer[np.ix_(ix, iy)] = np.where(mask, np.exp(1j * kz * distance_um), 0.0)
-    return transfer
+def _transfer(kz: np.ndarray, mask: np.ndarray, distance_um: float) -> np.ndarray:
+    """exp(i k_z d) on the band box's propagating waves, 0 on its evanescent ones."""
+    return np.where(mask, np.exp(1j * kz * distance_um), 0.0)
+
+
+def _on_grid(box: np.ndarray, index, shape) -> np.ndarray:
+    """A zero grid of the given shape with box put at rows index[0], columns index[1]."""
+    out = np.zeros(shape, complex)
+    out[np.ix_(*index)] = box
+    return out
+
+
+def _band_amplitudes(f: SampledField, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """F(k) on the band box, one 1-D FFT per axis: fft2 cropped to rows ix, columns iy."""
+    return np.fft.fft(np.fft.fft(f.amplitudes, axis=1)[:, iy], axis=0)[ix]
 
 
 def propagate_free_space(f: SampledField, distance_um: float) -> SampledField:
     """Propagate the field a finite distance d >= 0 through free space."""
-    transfer = _transfer_function(f, distance_um)
-    return replace(f, amplitudes=np.fft.ifft2(np.fft.fft2(f.amplitudes) * transfer))
+    check_value("distance_um", distance_um, ge=0)
+    (ix, iy), kz, mask = _band(f)
+    box = _band_amplitudes(f, ix, iy) * _transfer(kz, mask, distance_um)
+    return replace(f, amplitudes=np.fft.ifft2(_on_grid(box, (ix, iy), (f.nx, f.ny))))
 
 
 def overlap(a: SampledField, b: SampledField) -> complex:
     """Power-normalized inner product <a, b> / (||a|| ||b||), |result| <= 1."""
     a.require_same_grid(b)
-    na = np.sqrt(np.sum(np.abs(a.amplitudes) ** 2))
-    nb = np.sqrt(np.sum(np.abs(b.amplitudes) ** 2))
+    na, nb = (np.sqrt(np.sum(np.abs(g.amplitudes) ** 2)) for g in (a, b))
     if na == 0.0 or nb == 0.0:
         raise ValueError("overlap of a zero field is undefined")
     inner = np.sum(np.conj(a.amplitudes) * b.amplitudes)
     return complex(inner / (na * nb))
-
-
-def _band_amplitudes(f: SampledField, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-    """F(k) on the band box, one 1-D FFT per axis: fft2 does the last axis first,
-    so this is fft2 cropped to rows ix and columns iy, bit for bit."""
-    return np.fft.fft(np.fft.fft(f.amplitudes, axis=1)[:, iy], axis=0)[ix]
 
 
 def _spectrum(f: SampledField):
@@ -80,9 +81,8 @@ def _spectrum(f: SampledField):
              = <f, P_d f> / ||f||^2,
 
     the projection of the field propagated by propagate_free_space onto the
-    original one, not re-normalized as `overlap` would.  F is formed on the
-    `_band` box only, where every propagating wave lies, and the total
-    sum_k |F(k)|^2 is Parseval's n_x n_y sum |f|^2: no full-grid transform.
+    original one, not re-normalized as `overlap` would.  The total
+    sum_k |F(k)|^2 is Parseval's n_x n_y sum |f|^2.
     """
     (ix, iy), kz, mask = _band(f)
     total = f.nx * f.ny * np.sum(np.abs(f.amplitudes) ** 2)

@@ -64,9 +64,16 @@ def trap_analysis(z_um, u) -> dict:
     has_minimum, barrier_height_J, barrier_height_uK, min_position_um.
     The barrier is measured from the local minimum to the lower of the two
     outermost interior maxima (for a pure harmonic profile these are the
-    wall-adjacent samples).
+    wall-adjacent samples).  An empty profile, z_um and u of different
+    lengths, or a non-finite u raises ValueError.
     """
     n = len(u)
+    if len(z_um) != n:
+        raise ValueError(f"z_um and u must have the same length, got {len(z_um)} and {n}")
+    if n == 0:
+        raise ValueError("u must not be empty")
+    if not np.isfinite(u).all():
+        raise ValueError("u must be finite")
     interior = np.arange(1, n - 1)
     local_min = interior[(u[1:-1] < u[:-2]) & (u[1:-1] <= u[2:])]
     if len(local_min) == 0:

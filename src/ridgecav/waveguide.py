@@ -10,43 +10,16 @@ the slab (the substrate is outside the model, and the mode has decayed to
 grid window is centered on the core center (y = core_thickness/2).
 
 The fundamental mode is the largest-eigenvalue pair of the transverse scalar
-Helmholtz operator d2/dx2 + d2/dy2 + k0^2 n(x,y)^2.  Cell permittivities
-are area-averaged over the material rectangles.  That does not make the grid
-convergence second order.  On the reference ridge and 24 um window, n_eff
-changes by -1.5e-4, +8.9e-5, -4.3e-6 and +9.9e-6 from 64^2 to 1024^2: not
-monotone, because the ridge edge cuts a cell at a different fraction on each
-grid.  With every index step on a cell face (25.6 um window) the changes are
-monotone, but their observed order is only 1.1 to 1.7.  So the n_eff printed
-at 256^2 carries a grid error of about 1e-5.  That figure is n_eff's alone:
-from 256^2 to 1024^2 the reference mode's area moves by about 0.3% and the
-gap loss built on its profile by about 1%.
+Helmholtz operator d2/dx2 + d2/dy2 + k0^2 n(x,y)^2, with cell permittivities
+area-averaged over the material rectangles (grid errors: README, "How
+accurate the printed numbers are").
 
-The ridge is centred at x = 0 and the cell-centred grid is mirror-symmetric
-about it, so the permittivity map is exactly even in x.  The fundamental
-mode, the nodeless top eigenvector of this symmetric operator, is then even
-too.  The eigenproblem is therefore posed on the x >= 0 half-window only
-(half the unknowns), with the mirror image folded into the first
-half-column, and the solved half is unfolded into the full-window field.
-Each half-window column lies inside the mesa, outside it, or is the one
-column the ridge edge cuts, so A - sigma I (sigma = k0^2 n_core^2) is block
-tridiagonal in x with two runs of repeated blocks.  Each run is diagonal in
-its y eigenbasis times a closed-form x basis (Buzbee, Golub and Nielson,
-SIAM J. Numer. Anal. 7, 627 (1970)); `_shift_invert` and `_lanczos` work in
-those coordinates.
-
-Above the mesa and below the slab the whole window width is exterior, and
-there a guided mode (beta^2 > k0^2 n_clad^2) shrinks by at least a factor r
-< 1 per row (`_kept_rows`).  The solve keeps the rows that touch the slab,
-core or cap and `pad` rows on each side, the fewest with r^pad <= eps, and
-writes exact zeros beyond them: 124 of 256 rows on the reference grid, 239
-of 512 at 512^2.  The kept rows' operator is a principal submatrix of the
-half-window one (zero at the cut), so by Cauchy interlacing its top
-eigenvalue is never larger, and a window with no guided mode still has
-none; the exact eigenvector holds at most eps of its stack-edge row in the
-dropped rows.  On a 2-core Xeon with one BLAS thread the reference ridge
-takes 16 Lanczos steps, about 9 ms at 256^2 and 45 ms at 512^2 (29 ms and
-150 ms on every row); n_eff agrees with a sparse LU and ARPACK on every row
-within 2e-16 relative and the profile within 4e-14 of the peak.
+The ridge is centred at x = 0 on a mirror-symmetric grid, so the fundamental
+mode is even in x.  It is solved on the x >= 0 half-window and the y rows it
+reaches (`_kept_rows`), by Lanczos on a shift-invert in the separable
+eigenbasis of the runs of equal columns (`_shift_invert`; Buzbee, Golub and
+Nielson, SIAM J. Numer. Anal. 7, 627 (1970)); README, "Conventions worth
+knowing", walks through the solver, its cost and its accuracy.
 """
 
 from __future__ import annotations
@@ -57,13 +30,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EigensolveFailed, NoGuidedMode, check_fields, check_value
-from .fields import GridSpec, SampledField
+from .fields import GridSpec, SampledField, _wavenumber_per_um
 from .propagation import _spectrum
 
 BOUNDARY_DECAY_LIMIT = 1e-3
 MARGIN_UM = 4.0
-# the shift sigma = k0^2 n_core^2 may round away at most this fraction of the
-# stencil's 1/d^2: sigma eps is 1.4e-13 against 1/dx^2 = 114 on the reference grid
+# the shift sigma = k0^2 n_core^2 may round away at most this fraction of the stencil's 1/d^2
 _SHIFT_ROUNDING = 1e-6
 # Lanczos step cap: 3-5 um ridges take 15-18 steps, a 0.05 um ridge (edge in column 0) 36
 _LANCZOS_STEPS = 100
@@ -94,7 +66,7 @@ class WaveguideGeometry:
 
     @property
     def k0_per_um(self) -> float:
-        return 2.0 * np.pi / (self.wavelength_nm * 1e-3)
+        return _wavenumber_per_um(self.wavelength_nm)
 
 
 @dataclass(frozen=True)
@@ -155,11 +127,6 @@ def _columns(fx, eps_mesa, eps_out) -> np.ndarray:
     return fx * eps_mesa + (1.0 - fx) * eps_out
 
 
-def permittivity_map(geometry: WaveguideGeometry, grid: GridSpec) -> np.ndarray:
-    """Area-averaged n^2 on the grid, window centered on the core center."""
-    return _columns(*_permittivity_factors(geometry, grid))
-
-
 def _check_margins(geometry: WaveguideGeometry, grid: GridSpec) -> None:
     g = geometry
     if grid.window_x_um < g.ridge_width_um + 2 * MARGIN_UM:
@@ -197,14 +164,10 @@ def _x_basis(count: int, mirror: bool):
 def _kept_rows(geometry: WaveguideGeometry, grid: GridSpec) -> slice:
     """The y rows a guided mode reaches: the stack's rows and `pad` exterior rows on each side.
 
-    Above the mesa and below the slab every column is exterior, so there each
-    x harmonic of a guided mode (beta^2 > k0^2 n_clad^2) obeys u_(i+1) +
-    u_(i-1) = t u_i with t >= 2 + s, s = dy^2 k0^2 (n_clad^2 - n_exterior^2),
-    and with zeros beyond the window edge it shrinks by at least r per row,
-    r + 1/r = 2 + s.  `pad` is the smallest N with r^N <= eps: the rows past
-    it hold less than eps of the stack's outermost row.  A side keeps every
-    row when the pad reaches the window edge, and n_exterior = n_clad (r = 1)
-    keeps them all.
+    `pad` is the smallest N with r^N <= eps, where a guided mode shrinks by at
+    least r per exterior row, r + 1/r = 2 + dy^2 k0^2 (n_clad^2 - n_exterior^2)
+    (README, "Conventions worth knowing").  A side keeps every row when the
+    pad reaches the window edge, and n_exterior = n_clad (r = 1) keeps them all.
     """
     g = geometry
     stack = np.flatnonzero(_coverage(*_y_faces(g, grid), -g.cladding_thickness_um,
@@ -218,20 +181,15 @@ def _kept_rows(geometry: WaveguideGeometry, grid: GridSpec) -> slice:
 def _shift_invert(geometry: WaveguideGeometry, grid: GridSpec, sigma: float):
     """(solve, start, to_grid): (A - sigma I)^-1 on the x >= 0 half-window, in the runs' eigenbasis.
 
-    Only the `_kept_rows` in y take part: A is the half-window operator
-    restricted to them (zero beyond), and every block below is that many rows
-    high.  A - sigma I is block tridiagonal in the columns u_0 .. u_(m-1):
-    diagonal blocks T(eps_i) - (2/dx^2 + sigma) I, T(eps) = d2/dy2 + k0^2
-    diag(eps), plus 1/dx^2 on u_0's from its mirror image; off-diagonal
-    blocks I/dx^2.  Columns 0 .. j-1 are mesa and j+1 .. m-1 outside.  A run
-    is diagonal in its y eigenbasis (T(eps) - sigma I = Q diag(mu) Q^T) times
-    `_x_basis`: d[l, k] = mu_k + kappa_l / dx^2 < 0, as A - sigma I is
-    negative definite.  A run meets column j through row e of its x basis,
-    so column j's Schur complement, its block minus Q diag(sum_l e_l^2 /
-    d[l, k]) Q^T / dx^4 per run, is inverted once.  A vector holds each
-    run's coefficients and column j as it is; `start` is ones on the kept
-    rows, and `to_grid` maps a vector back to the half-window, with exact
-    zeros in the dropped rows.
+    A is the half-window operator on the `_kept_rows`, with the mirror image
+    folded into column 0.  Columns 0 .. j-1 are mesa and j+1 .. m-1 outside;
+    each run is diagonal, d[l, k] = mu_k + kappa_l / dx^2, in its y
+    eigenbasis Q times `_x_basis`, and meets column j through row e of the
+    latter, so column j is solved through its Schur complement: its block
+    minus Q diag(sum_l e_l^2 / d[l, k]) Q^T / dx^4 per run (README,
+    "Conventions worth knowing").  A vector holds each run's coefficients and
+    column j as it is; `start` is ones on the kept rows, and `to_grid` maps a
+    vector back to the half-window, with exact zeros in the dropped rows.
     """
     fx, eps_mesa, eps_out = _permittivity_factors(geometry, grid)
     kept = _kept_rows(geometry, grid)
@@ -352,9 +310,8 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
     # deterministic sign: largest-|E| sample positive
     half *= np.sign(half.flat[np.argmax(np.abs(half))])
     amps = np.concatenate([half[::-1], half])
-    # unit power in real arithmetic, rounded as SampledField.normalized's complex
-    # division rounds: (a + 0.0) * (1 / sqrt(p)); the + 0.0 turns the sign
-    # flip's -0.0 into 0.0
+    # unit power, rounded as SampledField.normalized rounds: (a + 0.0) * (1 / sqrt(p));
+    # the + 0.0 turns the sign flip's -0.0 into 0.0
     amps += 0.0
     amps *= 1.0 / np.sqrt(np.sum(amps**2) * (grid.dx_um * grid.dy_um))
     edge = max(np.abs(amps[[0, -1]]).max(), np.abs(amps[:, [0, -1]]).max()) / np.abs(amps).max()
@@ -364,7 +321,6 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
             f"limit is {BOUNDARY_DECAY_LIMIT:g}"
         )
 
-    # the profile is reused as the free-space input of the gap
     profile = SampledField(amplitudes=amps.astype(complex), dx_um=grid.dx_um, dy_um=grid.dy_um,
                            wavelength_nm=geometry.wavelength_nm)
     profile.amplitudes.setflags(write=False)  # an in-place write would leave `spectrum` stale

@@ -184,6 +184,15 @@ def test_stack_reflectivity_monotone_in_pairs():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("wavelength_nm, message", [
+    (0.0, "must be > 0, got 0.0"), (-780.0, "must be > 0, got -780.0"),
+    (np.nan, "must be finite, got nan"), (np.inf, "must be finite, got inf"),
+])
+def test_stack_reflectivity_rejects_a_bad_wavelength(wavelength_nm, message):
+    with pytest.raises(ValueError, match=rf"^wavelength_nm {message}$"):
+        stack_reflectivity(quarter_wave_stack(3), wavelength_nm)
+
+
 def test_stack_validation():
     with pytest.raises(ValueError):
         MirrorStack(layers=((0.9, 100.0),), n_incident=3.155, n_exit=1.0)

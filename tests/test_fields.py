@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,20 @@ def test_csv_with_one_sample_along_an_axis_rejected(tmp_path, rows, nx, ny):
     path.write_text("x_um,y_um,re,im\n" + rows)
     with pytest.raises(ValueError, match=f"got {nx} x and {ny} y$"):
         load_field_csv(path, wavelength_nm=780.0)
+
+
+@pytest.mark.parametrize("rows, columns", [
+    ("", 0),
+    ("0,0,1\n0,1,2\n1,0,3\n1,1,4\n", 3),
+    ("0,0,1,0,9\n0,1,2,0,9\n1,0,3,0,9\n1,1,4,0,9\n", 5),
+], ids=["header-only", "three-columns", "five-columns"])
+def test_csv_without_four_columns_rejected(tmp_path, rows, columns):
+    path = tmp_path / "field.csv"
+    path.write_text("x_um,y_um,re,im\n" + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt: input contained no data
+        with pytest.raises(ValueError, match=rf"4 columns \(x_um,y_um,re,im\), got {columns}$"):
+            load_field_csv(path, wavelength_nm=780.0)
 
 
 @pytest.mark.parametrize("existing", [None, "old contents\n"], ids=["new", "replaced"])

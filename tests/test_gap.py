@@ -19,6 +19,7 @@ from ridgecav import (
     full_budget,
     gap_scattering,
     loss_spectrum,
+    propagate_free_space,
     round_trip_phase_scan,
     solve_fundamental_mode,
 )
@@ -242,6 +243,12 @@ def test_degenerate_scan_range_rejected(ridge_mode):
         loss_spectrum(ridge_mode, 0.5, np.inf, 10)
 
 
+@pytest.mark.parametrize("steps", [2.5, 3.0])
+def test_non_integer_step_count_rejected(ridge_mode, steps):
+    with pytest.raises(ValueError, match=rf"^steps must be an integer, got {steps}$"):
+        loss_spectrum(ridge_mode, 0.5, 1.0, steps)
+
+
 def test_series_truncation_guard(ridge_mode):
     with pytest.raises(SeriesNotConverged):
         gap_scattering(ridge_mode, GapConfig(d_um=1.0, p_max=3, series_tolerance=1e-10))
@@ -372,12 +379,24 @@ def test_series_matches_bounce_model(w0_um, d_um, n_interface, log_tolerance):
     assert abs(res.t_amplitude - brute.t_amplitude) < 1e-7
 
 
+def _kz_and_mask(f):
+    """The full-grid k_z (zero where evanescent) and propagating mask, built as before the band box."""
+    kx = 2.0 * np.pi * np.fft.fftfreq(f.nx, f.dx_um)
+    ky = 2.0 * np.pi * np.fft.fftfreq(f.ny, f.dy_um)
+    kx, ky = np.meshgrid(kx, ky, indexing="ij")
+    k = f.wavenumber_per_um
+    kz2 = k * k - kx * kx - ky * ky
+    mask = kz2 > 0.0
+    return np.sqrt(np.where(mask, kz2, 0.0)), mask
+
+
 def _fine_grid_bounces(f, cfg, n_bounces):
     """(r, t) of the literal bounce loop on f's own grid, with no crop."""
     f = f.normalized()
     r, _ = fresnel_interface(cfg.n_interface)
     s = np.sqrt(1.0 - r * r)
-    transfer = propagation._transfer_function(f, cfg.d_um)
+    kz, mask = _kz_and_mask(f)
+    transfer = np.where(mask, np.exp(1j * kz * cfg.d_um), 0.0)
 
     def crossing(amps):
         return np.fft.ifft2(np.fft.fft2(amps) * transfer)
@@ -477,22 +496,11 @@ def test_reference_mode_bounces_on_a_64_grid(ridge_mode, monkeypatch):
     assert two_d.count((64, 64)) == len(two_d) == 26
 
 
-def _kz_and_mask(f):
-    """The full-grid k_z (zero where evanescent) and propagating mask, built as before the band box."""
-    kx = 2.0 * np.pi * np.fft.fftfreq(f.nx, f.dx_um)
-    ky = 2.0 * np.pi * np.fft.fftfreq(f.ny, f.dy_um)
-    kx, ky = np.meshgrid(kx, ky, indexing="ij")
-    k = f.wavenumber_per_um
-    kz2 = k * k - kx * kx - ky * ky
-    mask = kz2 > 0.0
-    return np.sqrt(np.where(mask, kz2, 0.0)), mask
-
-
 @pytest.mark.parametrize("grid", [None, *BOUNCE_GRIDS])
 def test_band_box_spectrum_and_transfer_equal_the_full_grid_construction(ridge_mode, grid):
     # k_z and F are built on the propagating box alone; the spectrum and the
-    # transfer function equal the full-grid construction bit for bit, so no
-    # propagating wave lies outside the box.  Both divide by Parseval's total
+    # propagated field equal the full-grid construction bit for bit, so no
+    # propagating wave lies outside the box.  The weights divide by Parseval's total
     fields = ([ridge_mode.field] if grid is None else
               [_offset_gaussian(grid, 2.0, (0.7, -0.4), wl) for wl in (700.0, 780.0, 900.0)])
     for f in fields:
@@ -505,7 +513,8 @@ def test_band_box_spectrum_and_transfer_equal_the_full_grid_construction(ridge_m
         assert np.array_equal(w_box, np.bincount(which, weights=weights[mask]) / total)
         for d_um in (0.0, 1.96, 7.3):
             expected = np.where(mask, np.exp(1j * kz * d_um), 0.0)
-            assert np.array_equal(propagation._transfer_function(f, d_um), expected)
+            assert np.array_equal(propagate_free_space(f, d_um).amplitudes,
+                                  np.fft.ifft2(np.fft.fft2(f.amplitudes) * expected))
 
 
 @pytest.mark.parametrize("n_bounces", [1, 2, 3, 7, 8, 9, 49, 50])
@@ -545,7 +554,7 @@ def test_too_few_bounces_name_the_count():
 )
 # each example runs two 64^2 solves: shrinking a failure through them
 # would take minutes, so a failure is reported as first found
-@settings(phases=[phase for phase in Phase if phase is not Phase.shrink])
+@settings(phases=[phase for phase in settings.default.phases if phase is not Phase.shrink])
 def test_results_are_invariant_under_scaling_every_length(
         ridge_width_um, ridge_height_um, core_thickness_um, cladding_thickness_um,
         wavelength_nm, d_um, length_um, scale):

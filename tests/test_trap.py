@@ -156,3 +156,14 @@ def test_trap_config_validation():
         TrapConfig(c4_J_m4=-1e-55)
     with pytest.raises(ValueError):
         TrapConfig(gap_width_um=0.0)
+
+
+@pytest.mark.parametrize("z_um, u, message", [
+    ([], [], "^u must not be empty$"),
+    (np.linspace(-1.0, 1.0, 5), np.array([4.0, 1.0, np.nan, 1.0, 4.0]), "^u must be finite$"),
+    (np.linspace(-1.0, 1.0, 4), np.array([4.0, 1.0, 0.0, 1.0, 4.0]),
+     "^z_um and u must have the same length, got 4 and 5$"),
+], ids=["empty", "nan", "mismatched-lengths"])
+def test_trap_analysis_rejects_a_bad_profile(z_um, u, message):
+    with pytest.raises(ValueError, match=message):
+        trap_analysis(z_um, u)

@@ -17,7 +17,7 @@ from ridgecav import (
     solve_fundamental_mode,
 )
 from ridgecav import waveguide
-from ridgecav.waveguide import permittivity_map
+from ridgecav.waveguide import _columns, _permittivity_factors
 from conftest import GRID, RIDGE
 
 GRID_128 = GridSpec(nx=128, ny=128, window_x_um=24.0, window_y_um=24.0)
@@ -96,7 +96,7 @@ def test_n_eff_monotone_in_ridge_width():
 def test_permittivity_map_is_mirror_symmetric(width_um):
     # 4.03125 um is 43 cells of the 256^2 grid, so both ridge edges fall
     # mid-cell and those cells are partly covered
-    eps = permittivity_map(WaveguideGeometry(ridge_width_um=width_um), GRID)
+    eps = _columns(*_permittivity_factors(WaveguideGeometry(ridge_width_um=width_um), GRID))
     assert np.array_equal(eps, eps[::-1])
 
 
@@ -122,7 +122,7 @@ def half_window_operator(geometry, grid):
     half-column, so its coupling folds into that column's diagonal as
     +1/dx^2.  Every other edge of the window is a zero (Dirichlet) boundary.
     """
-    eps_half = permittivity_map(geometry, grid)[grid.nx // 2 :]
+    eps_half = _columns(*_permittivity_factors(geometry, grid))[grid.nx // 2 :]
     nx, ny = eps_half.shape
     n = nx * ny
     dx, dy, k0 = grid.dx_um, grid.dy_um, geometry.k0_per_um
@@ -143,7 +143,7 @@ def _full_window_mode(geometry, grid):
 
     The eigenvector is scaled to unit power with its largest sample positive.
     """
-    eps = permittivity_map(geometry, grid)
+    eps = _columns(*_permittivity_factors(geometry, grid))
     nx, ny = eps.shape
     n = nx * ny
     dx, dy, k0 = grid.dx_um, grid.dy_um, geometry.k0_per_um
@@ -188,7 +188,7 @@ def test_solved_mode_is_an_eigenpair_of_the_half_window_operator(geometry, grid,
     # the solve measures 2.9e-16 to 6.3e-16 here, so a shorter or looser
     # Lanczos run cannot hide behind the n_eff and area pins
     mode = solve_fundamental_mode(geometry, grid)
-    eps = permittivity_map(geometry, grid)
+    eps = _columns(*_permittivity_factors(geometry, grid))
     # inside and outside the mesa, plus the column a ridge edge cuts, if any
     assert len(np.unique(eps, axis=0)) == columns
     A = half_window_operator(geometry, grid)
