@@ -5,6 +5,8 @@ the atom gap, to cavity finesse, measured-loss fits, trap potentials and the
 atom-cavity cooperativity budget.
 """
 
+import types
+
 from .cavity import (
     CavitySpec,
     FitResult,
@@ -57,50 +59,6 @@ from .waveguide import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomParams",
-    "CavitySpec",
-    "ConfigError",
-    "CqedBudget",
-    "EigensolveFailed",
-    "FitDiverged",
-    "FitResult",
-    "GapConfig",
-    "GapResult",
-    "GridSpec",
-    "MirrorStack",
-    "ModeSolution",
-    "NoGuidedMode",
-    "RidgecavError",
-    "SampledField",
-    "SeriesNotConverged",
-    "TrapConfig",
-    "WaveguideGeometry",
-    "alpha_from_linewidth",
-    "brute_force_gap_scattering",
-    "composite_round_trip",
-    "cooperativity",
-    "coupling_g_MHz",
-    "field_enhancement",
-    "finesse_from_round_trip",
-    "fit_losses",
-    "free_spectral_range_ghz",
-    "fresnel_interface",
-    "full_budget",
-    "gap_scattering",
-    "group_index",
-    "linewidth_ghz",
-    "load_field_csv",
-    "loss_spectrum",
-    "mode_area",
-    "overlap",
-    "potential_profile",
-    "propagate_free_space",
-    "quarter_wave_stack",
-    "round_trip_amplitude",
-    "round_trip_phase_scan",
-    "save_field_csv",
-    "solve_fundamental_mode",
-    "stack_reflectivity",
-    "trap_analysis",
-]
+# every public name imported above; modules (the submodules, types) stay out
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

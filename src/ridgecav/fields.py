@@ -177,10 +177,12 @@ def save_field_csv(f: SampledField, path) -> None:
 
 def load_field_csv(path, wavelength_nm: float) -> SampledField:
     """Read a field written by save_field_csv; grid inferred from coordinates."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    columns = data.shape[1] if data.size else 0  # a header-only file reads as shape (0, 1)
-    if columns != 4:
-        raise ValueError(f"CSV rows must have 4 columns (x_um,y_um,re,im), got {columns}")
+    with open(path) as fh:  # a file with no rows is caught here: np.loadtxt would warn
+        next(fh, None)
+        rows = any(line.partition("#")[0].strip() for line in fh)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2) if rows else np.empty((0, 0))
+    if data.shape[1] != 4:
+        raise ValueError(f"CSV rows must have 4 columns (x_um,y_um,re,im), got {data.shape[1]}")
     xs = np.unique(data[:, 0])
     ys = np.unique(data[:, 1])
     nx, ny = len(xs), len(ys)

@@ -241,11 +241,12 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     at each of the n_bounces interface hits the amplitude coupled into the
     mode is a real-space overlap with it; the remainder re-enters the gap
     with the air-side reflection -r, so hit n carries (-r)^n and the field
-    crossed n + 1 times.  The crossings use propagation's band transfer on the
-    smallest power-of-two grid per axis that holds the `_band` box, taken in
-    baby and giant steps of b = round(sqrt(n_bounces)) (README, "Conventions
-    worth knowing").  The check never forms |F|^2 weights, merges k_z or sums
-    in closed form, so it does not become the model it checks.
+    crossed n + 1 times.  A crossing multiplies the band spectrum F by
+    `_transfer`'s T; on the smallest power-of-two grid per axis that holds the
+    `_band` box, hit q b + i overlaps the giant field F T^(-q b) with the baby
+    field s F T^(i+1), b = round(sqrt(n_bounces)) (README, "Conventions worth
+    knowing").  The check never forms |F|^2 weights, merges k_z or sums in
+    closed form, so it does not become the model it checks.
 
     Raises SeriesNotConverged when the truncated bounce sum gives R + T
     above 1, as too few bounces can.
@@ -262,27 +263,21 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
         places.append((np.where(i > n // 2, i - n, i) % m, m))
     (cx, mx), (cy, my) = places
     band = (cx, cy), (mx, my)
-
-    def crossing(amps: np.ndarray, transfer: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(np.fft.fft2(amps) * transfer)
+    b = round(math.sqrt(n_bounces))
 
     spectrum = _on_grid(_band_amplitudes(f, ix, iy), *band)
     forward = _on_grid(_transfer(kz, mask, cfg.d_um), *band)
-    scale = (mx * my) / (f.nx * f.ny) * f.cell_area_um2
-    b = round(math.sqrt(n_bounces))
-
-    baby = [np.fft.ifft2(s * spectrum * forward)]
-    for _ in range(b - 1):
-        baby.append(crossing(baby[-1], forward))
+    baby = np.cumprod(np.broadcast_to(forward, (b, mx, my)), axis=0)  # T^1 .. T^b
+    baby *= s * spectrum
+    baby = np.fft.ifft2(baby)  # the injected field crossed 1 .. b times
     back = _on_grid(np.conj(_transfer(kz, mask, b * cfg.d_um)), *band)
-    giant = np.fft.ifft2(spectrum)  # the mode's in-band part
-    t_amp = 0.0 + 0.0j
-    r_amp = complex(r)
+    scale = (mx * my) / (f.nx * f.ny) * f.cell_area_um2
+    t_amp, r_amp = 0j, complex(r)
     for n in range(n_bounces):
-        q, i = divmod(n, b)
-        if i == 0 and q:
-            giant = crossing(giant, back)
-        coupled = complex((-r) ** n * np.vdot(giant, baby[i]) * scale)
+        if n % b == 0:  # the giant field F T^(-n) of the next b hits
+            giant = np.fft.ifft2(spectrum)
+            spectrum *= back
+        coupled = complex((-r) ** n * np.vdot(giant, baby[n % b]) * scale)
         if n % 2 == 0:  # at the far interface: couples out forward
             t_amp += s * coupled
         else:  # back at the input interface: couples out backward

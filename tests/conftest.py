@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import Phase, settings
+from hypothesis import settings
 
 from ridgecav import GridSpec, SampledField, WaveguideGeometry, solve_fundamental_mode
 from ridgecav.propagation import _spectrum
@@ -18,11 +18,9 @@ RIDGE = WaveguideGeometry(
     wavelength_nm=780.0,
 )
 
-# property tests replay the same examples on every run and never time out;
-# without the explain phase a failure writes no .hypothesis/patches/ file
+# property tests replay the same examples on every run and never time out
 settings.register_profile("ridgecav", derandomize=True, deadline=None,
-                          database=None, max_examples=30,
-                          phases=[phase for phase in Phase if phase is not Phase.explain])
+                          database=None, max_examples=30)
 settings.load_profile("ridgecav")
 
 GRID = GridSpec(nx=256, ny=256, window_x_um=24.0, window_y_um=24.0)

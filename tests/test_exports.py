@@ -18,6 +18,14 @@ def test_all_lists_every_public_name_once_and_sorted():
     assert set(ridgecav.__all__) == public
 
 
+def test_every_exported_object_is_defined_in_ridgecav():
+    # __all__ is built from the package namespace, so a third-party name
+    # imported there would become public; this keeps it out
+    foreign = [name for name in ridgecav.__all__
+               if not getattr(ridgecav, name).__module__.startswith("ridgecav.")]
+    assert not foreign
+
+
 def test_no_unused_module_imports():
     # stands in for a linter's unused-import rule; the package __init__
     # imports only to re-export, and __future__ imports set compiler flags

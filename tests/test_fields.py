@@ -100,7 +100,7 @@ def test_csv_without_four_columns_rejected(tmp_path, rows, columns):
     path = tmp_path / "field.csv"
     path.write_text("x_um,y_um,re,im\n" + rows)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # loadtxt: input contained no data
+        warnings.simplefilter("error")  # a header-only file must not reach np.loadtxt's warning
         with pytest.raises(ValueError, match=rf"4 columns \(x_um,y_um,re,im\), got {columns}$"):
             load_field_csv(path, wavelength_nm=780.0)
 
