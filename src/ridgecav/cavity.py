@@ -42,7 +42,12 @@ class MirrorStack:
     n_exit: float = field(metadata={"ge": 1})
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple((float(n), float(t)) for n, t in self.layers))
+        try:
+            layers = tuple((float(n), float(t)) for n, t in self.layers)
+        except (TypeError, ValueError):
+            raise ValueError(f"layers must be (index, thickness_nm) pairs, "
+                             f"got {self.layers!r}") from None
+        object.__setattr__(self, "layers", layers)
         check_fields(self)
         for n, t in self.layers:
             check_value("layer index", n, ge=1)
@@ -104,7 +109,9 @@ def linewidth_ghz(finesse: float, fsr_ghz: float) -> float:
     """Resonance full width (2 kappa / 2 pi) = FSR / F in GHz."""
     check_value("finesse", finesse, gt=0)
     check_value("fsr_ghz", fsr_ghz)
-    return fsr_ghz / finesse
+    width = fsr_ghz / finesse
+    check_value("linewidth_ghz", width)
+    return width
 
 
 def alpha_from_linewidth(width_2kappa_ghz: float, length_um: float,
@@ -140,7 +147,9 @@ def quarter_wave_stack(pairs: int, n_high: float = 2.35, n_low: float = 1.50,
     walks the admittance down by (n_low/n_high)^2 per pair, which maximizes
     the mismatch and hence the reflectivity.
     """
-    check_value("pairs", pairs, ge=0)
+    check_value("pairs", pairs, integer=True, ge=0)
+    check_value("n_high", n_high, ge=1)
+    check_value("n_low", n_low, ge=1)
     layers = [(n, wavelength_nm / (4.0 * n)) for _ in range(pairs) for n in (n_low, n_high)]
     return MirrorStack(layers=tuple(layers), n_incident=n_incident, n_exit=n_exit)
 
@@ -149,12 +158,13 @@ def stack_reflectivity(stack: MirrorStack, wavelength_nm: float) -> float:
     """Normal-incidence intensity reflectivity by the characteristic matrix."""
     check_value("wavelength_nm", wavelength_nm, gt=0)
     m = np.eye(2, dtype=complex)
-    for n, t_nm in stack.layers:
-        delta = 2.0 * np.pi * n * t_nm / wavelength_nm
-        cos, sin = np.cos(delta), np.sin(delta)
-        m = m @ np.array([[cos, 1j * sin / n], [1j * n * sin, cos]])
-    b, c = m @ np.array([1.0, stack.n_exit], dtype=complex)
-    r = (stack.n_incident * b - c) / (stack.n_incident * b + c)
+    with np.errstate(invalid="ignore"):  # a phase out of float range fails below, as NaN
+        for n, t_nm in stack.layers:
+            delta = 2.0 * np.pi * n * t_nm / wavelength_nm
+            cos, sin = np.cos(delta), np.sin(delta)
+            m = m @ np.array([[cos, 1j * sin / n], [1j * n * sin, cos]])
+        b, c = m @ np.array([1.0, stack.n_exit], dtype=complex)
+        r = (stack.n_incident * b - c) / (stack.n_incident * b + c)
     refl = float(abs(r) ** 2)
     check_value("mirror stack reflectivity", refl)
     return refl
@@ -220,7 +230,10 @@ def fit_losses(data) -> FitResult:
     J^T J is singular), scaled by the residual variance when no sigmas are
     given.
     """
-    rows = [tuple(map(float, row)) for row in data]
+    try:
+        rows = [tuple(map(float, row)) for row in data]
+    except (TypeError, ValueError):
+        raise ValueError("data rows must hold numbers: (length_um, finesse[, sigma])") from None
     for i, row in enumerate(rows):
         if len(row) not in (2, 3):
             raise ValueError(f"data row {i} has {len(row)} entries; "

@@ -190,13 +190,14 @@ def cmd_trap(args) -> int:
         raise ConfigError("trap.c4_J_m4 is required for trap calculations")
     with _sized_by("[trap] z_samples", trap_cfg.z_samples):
         z_um, u_J = potential_profile(trap_cfg)
+    # both checked before the CSV, so a profile out of float range writes no file
+    result = trap_analysis(z_um, u_J)
+    u_uK = u_J / KB_J_PER_K * 1e6
+    check_value("trap potential in uK", float(np.abs(u_uK).max()))
     lines = ["z_um,U_J,U_uK"]
-    lines += [
-        f"{_fmt(z)},{_fmt(u)},{_fmt(u / KB_J_PER_K * 1e6)}" for z, u in zip(z_um, u_J)
-    ]
+    lines += [f"{_fmt(z)},{_fmt(u)},{_fmt(uk)}" for z, u, uk in zip(z_um, u_J, u_uK)]
     out_csv = os.path.join(args.out, "trap_profile.csv")
     _write_lines(out_csv, lines)
-    result = trap_analysis(z_um, u_J)
     print(f"profile_csv={out_csv}")
     print(f"has_minimum={'true' if result['has_minimum'] else 'false'}")
     print(f"barrier_uK={_fmt(result['barrier_height_uK'])}")

@@ -27,7 +27,9 @@ def _cell_centres(n: int, step: float) -> np.ndarray:
 
 
 def _wavenumber_per_um(wavelength_nm: float) -> float:
-    """Free-space k = 2 pi / lambda (1/um) of a wavelength in nm."""
+    """Free-space k = 2 pi / lambda (1/um) of a wavelength in nm; k^2 must be in float range."""
+    if not wavelength_nm * 1e151 > 2.0 * np.pi:
+        raise ValueError(f"wavelength_nm = {wavelength_nm:g} is too short: k0^2 leaves float range")
     return 2.0 * np.pi / (wavelength_nm * 1e-3)
 
 
@@ -42,9 +44,10 @@ class GridSpec:
 
     def __post_init__(self):
         check_fields(self)
-        for name, n in (("nx", self.nx), ("ny", self.ny)):
+        for name, n, step in (("nx", self.nx, self.dx_um), ("ny", self.ny, self.dy_um)):
             if n & (n - 1):
                 raise ValueError(f"{name} must be a power of two, got {n}")
+            check_value(f"(window_{name[1]}_um / {name})^2", step * step)
 
     @property
     def dx_um(self) -> float:
@@ -79,6 +82,8 @@ class SampledField:
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 2:
             raise ValueError("amplitudes must be a 2-D array")
+        if amps.size == 0:
+            raise ValueError("amplitudes must not be empty")
         check_fields(self)
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")

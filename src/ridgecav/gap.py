@@ -37,8 +37,8 @@ from .errors import SeriesNotConverged, check_fields, check_value
 from .propagation import _band, _band_amplitudes, _on_grid, _spectrum, _transfer
 from .waveguide import ModeSolution
 
-# widths x k_z per block of a scan: its three complex scratch buffers (256 KiB
-# each) stay cache-sized and bounded whatever the number of widths
+# widths x k_z per block of a scan: each block's complex arrays (256 KiB each)
+# stay cache-sized and bounded whatever the number of widths
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -90,13 +90,8 @@ def fresnel_interface(n: float):
     """
     check_value("n", n, ge=1)
     r = (n - 1.0) / (n + 1.0)
-    t = 2.0 * n / (n + 1.0)
+    t = 2.0 * (n / (n + 1.0))  # 2n / (n + 1) bit for bit, but 2n overflows near the float limit
     return r, t
-
-
-def _spectrum_of(mode):
-    """The angular spectrum: kept on a solved mode, built anew for a bare field."""
-    return mode.spectrum if isinstance(mode, ModeSolution) else _spectrum(mode)
 
 
 def _num_terms(r: float, cfg: GapConfig) -> int:
@@ -125,20 +120,11 @@ def _dot(a, b):
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _row_sums(z, w, r: float, n_terms: int, rho=None, g=None):
-    """(S_0, S_1, S_2) of each row of z, which holds (i k_z) d on entry.
-
-    z is overwritten.  rho and g, when given, are scratch buffers of z's
-    shape, also overwritten, so a scan reuses one set for every block.
-    """
+def _row_sums(z, w, r: float, n_terms: int):
+    """(S_0, S_1, S_2) of each row of z, which holds (i k_z) d on entry and is overwritten."""
     np.exp(z, out=z)
-    rho = np.multiply(r * r, z, out=rho)
-    rho *= z
-    g = np.power(rho, n_terms, out=g)
-    np.subtract(1.0, g, out=g)
-    np.multiply(w, g, out=g)
-    np.subtract(1.0, rho, out=rho)
-    g /= rho
+    rho = r * r * z * z
+    g = w * (1.0 - np.power(rho, n_terms)) / (1.0 - rho)
     sum0, sum1 = g.sum(axis=-1), _dot(g, z)
     z *= z
     return sum0, sum1, _dot(g, z)
@@ -157,19 +143,16 @@ def _bounce_sums(spectrum, r: float, n_terms: int, d_um):
     ikz = 1j * kz
     if not isinstance(d_um, np.ndarray):
         return _row_sums(ikz * d_um, w, r, n_terms)
-    rows = max(1, _BLOCK_ELEMENTS // kz.size)
-    z, rho, g = (np.empty((min(rows, d_um.size), kz.size), complex) for _ in range(3))
+    rows = max(1, _BLOCK_ELEMENTS // max(1, kz.size))  # a field with no propagating wave has none
     sums = np.empty((3, d_um.size), complex)
     for start in range(0, d_um.size, rows):
-        n = min(rows, d_um.size - start)
-        np.multiply.outer(d_um[start:start + n], ikz, out=z[:n])
-        sums[:, start:start + n] = _row_sums(z[:n], w, r, n_terms, rho[:n], g[:n])
+        block = d_um[start:start + rows]
+        sums[:, start:start + block.size] = _row_sums(np.multiply.outer(block, ikz), w, r, n_terms)
     return sums
 
 
-def _check_width(mode, d_um: float) -> None:
+def _check_width(f, d_um: float) -> None:
     """Reject, before any arithmetic, a width whose k0 d >= every |k_z| d is not finite."""
-    f = mode.field if isinstance(mode, ModeSolution) else mode
     if not math.isfinite(f.wavenumber_per_um * d_um):
         raise ValueError(f"k0 d at gap width {d_um:g} um must be finite, got inf")
 
@@ -195,28 +178,38 @@ def _intensities(r_amp: complex, t_amp: complex, n: int, cfg: GapConfig | None =
     return R, T, 1.0 - R - T
 
 
-def _gap_result(mode, r: float, n_terms: int, cfg: GapConfig):
-    """The bounce sums at cfg.d_um and the GapResult they give."""
-    _check_width(mode, cfg.d_um)
-    sums = _bounce_sums(_spectrum_of(mode), r, n_terms, cfg.d_um)
-    r_amp, t_amp = _series(sums, r)
-    r_amp, t_amp = complex(r_amp), complex(t_amp)
+def _series_at(mode, cfg: GapConfig, d_um):
+    """((r, s, N), bounce sums, (r_gap, t_gap)) at one width, or at an ascending 1-D array of them.
+
+    k0 d is checked at the largest width before any arithmetic.  The spectrum
+    is kept on a ModeSolution and built anew for a bare SampledField.
+    """
+    r, s, n_terms = _interface(cfg)
+    solved = isinstance(mode, ModeSolution)
+    d_max = d_um[-1] if isinstance(d_um, np.ndarray) else d_um
+    _check_width(mode.field if solved else mode, float(d_max))
+    sums = _bounce_sums(mode.spectrum if solved else _spectrum(mode), r, n_terms, d_um)
+    return (r, s, n_terms), sums, _series(sums, r)
+
+
+def _gap_result(mode, cfg: GapConfig):
+    """(r, s), the bounce sums at cfg.d_um and the GapResult they give."""
+    (r, s, n_terms), sums, amplitudes = _series_at(mode, cfg, cfg.d_um)
+    r_amp, t_amp = (complex(a) for a in amplitudes)
     R, T, loss = _intensities(r_amp, t_amp, n_terms, cfg)
-    return sums, GapResult(R=R, T=T, loss=loss, r_amplitude=r_amp, t_amplitude=t_amp)
+    return (r, s), sums, GapResult(R=R, T=T, loss=loss, r_amplitude=r_amp, t_amplitude=t_amp)
 
 
 def gap_scattering(mode, cfg: GapConfig) -> GapResult:
     """Sum the coherent multiple-reflection series for one gap width."""
-    r, _, n_terms = _interface(cfg)
-    return _gap_result(mode, r, n_terms, cfg)[1]
+    return _gap_result(mode, cfg)[2]
 
 
 def _check_scan(d_min_um: float, d_max_um: float, steps: int) -> None:
     """Reject a width scan loss_spectrum cannot run, before any work is done."""
     if not 0 <= d_min_um < d_max_um < math.inf:
         raise ValueError(f"need 0 <= d_min < d_max < inf, got [{d_min_um}, {d_max_um}]")
-    if not isinstance(steps, (int, np.integer)):
-        raise ValueError(f"steps must be an integer, got {steps!r}")
+    check_value("steps", steps, integer=True)
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
 
@@ -225,11 +218,8 @@ def loss_spectrum(mode, d_min_um: float, d_max_um: float, steps: int,
                   base_cfg: GapConfig = GapConfig()):
     """gap_scattering on a uniform width grid; rows of (d, R, T, loss)."""
     _check_scan(d_min_um, d_max_um, steps)
-    _check_width(mode, d_max_um)
-    spectrum = _spectrum_of(mode)
-    r, _, n_terms = _interface(base_cfg)
     d = np.linspace(d_min_um, d_max_um, steps)
-    r_gap, t_gap = _series(_bounce_sums(spectrum, r, n_terms, d), r)
+    (_, _, n_terms), _, (r_gap, t_gap) = _series_at(mode, base_cfg, d)
     return [(d_um, *_intensities(r_amp, t_amp, n_terms, base_cfg))
             for d_um, r_amp, t_amp in zip(d.tolist(), r_gap.tolist(), t_gap.tolist())]
 
@@ -251,9 +241,10 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     Raises SeriesNotConverged when the truncated bounce sum gives R + T
     above 1, as too few bounces can.
     """
-    check_value("n_bounces", n_bounces, ge=1)
-    _check_width(mode, cfg.d_um)
-    f = (mode.field if isinstance(mode, ModeSolution) else mode).normalized()
+    check_value("n_bounces", n_bounces, integer=True, ge=1)
+    f = mode.field if isinstance(mode, ModeSolution) else mode
+    _check_width(f, cfg.d_um)
+    f = f.normalized()
     r, _ = fresnel_interface(cfg.n_interface)
     s = math.sqrt(1.0 - r * r)  # a float, so the amplitudes below stay Python complex
     (ix, iy), kz, mask = _band(f)
@@ -309,12 +300,13 @@ def composite_round_trip(mode, cfg: GapConfig, arm_phase_rad: float) -> float:
     With a loss-free gap the scattering matrix is unitary and r_rt = 1 for
     every phase.
     """
+    check_value("arm_phase_rad", arm_phase_rad)
     return float(_round_trip(gap_scattering(mode, cfg), arm_phase_rad)[0])
 
 
 def round_trip_phase_scan(mode, cfg: GapConfig, n_phases: int = 720):
     """(phases, r_rt) arrays over arm_phase in [0, 2 pi)."""
-    check_value("n_phases", n_phases, ge=1)
+    check_value("n_phases", n_phases, integer=True, ge=1)
     phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
     return phases, _round_trip(gap_scattering(mode, cfg), phases)
 
@@ -329,8 +321,8 @@ def field_enhancement(mode, cfg: GapConfig, arm_phase_rad: float) -> float:
 
         ratio = sqrt(n) (|G+| + |G-|) / (1 + r_rt).
     """
-    r, s, n_terms = _interface(cfg)
-    (sum0, sum1, sum2), gres = _gap_result(mode, r, n_terms, cfg)
+    check_value("arm_phase_rad", arm_phase_rad)
+    (r, s), (sum0, sum1, sum2), gres = _gap_result(mode, cfg)
     phase = np.exp(1j * arm_phase_rad)
     b = phase * gres.t_amplitude / (1.0 - gres.r_amplitude * phase)  # arm-side injection
     r_rt = _round_trip(gres, arm_phase_rad)[0]

@@ -54,6 +54,7 @@ def _band_amplitudes(f: SampledField, ix: np.ndarray, iy: np.ndarray) -> np.ndar
 def propagate_free_space(f: SampledField, distance_um: float) -> SampledField:
     """Propagate the field a finite distance d >= 0 through free space."""
     check_value("distance_um", distance_um, ge=0)
+    check_value(f"k0 d at distance_um = {distance_um:g}", f.wavenumber_per_um * distance_um)
     (ix, iy), kz, mask = _band(f)
     box = _band_amplitudes(f, ix, iy) * _transfer(kz, mask, distance_um)
     return replace(f, amplitudes=np.fft.ifft2(_on_grid(box, (ix, iy), (f.nx, f.ny))))
@@ -62,7 +63,9 @@ def propagate_free_space(f: SampledField, distance_um: float) -> SampledField:
 def overlap(a: SampledField, b: SampledField) -> complex:
     """Power-normalized inner product <a, b> / (||a|| ||b||), |result| <= 1."""
     a.require_same_grid(b)
-    na, nb = (np.sqrt(np.sum(np.abs(g.amplitudes) ** 2)) for g in (a, b))
+    with np.errstate(over="ignore"):  # an overflowing power fails below, as inf
+        na, nb = (np.sqrt(np.sum(np.abs(g.amplitudes) ** 2)) for g in (a, b))
+    check_value("field power", max(na, nb))
     if na == 0.0 or nb == 0.0:
         raise ValueError("overlap of a zero field is undefined")
     inner = np.sum(np.conj(a.amplitudes) * b.amplitudes)
@@ -85,7 +88,8 @@ def _spectrum(f: SampledField):
     sum_k |F(k)|^2 is Parseval's n_x n_y sum |f|^2.
     """
     (ix, iy), kz, mask = _band(f)
-    total = f.nx * f.ny * np.sum(np.abs(f.amplitudes) ** 2)
+    with np.errstate(over="ignore"):  # an overflowing power fails below, as inf
+        total = f.nx * f.ny * np.sum(np.abs(f.amplitudes) ** 2)
     check_value("spectral power of the field", total)  # huge amplitudes overflow; bounds |F|^2
     if total == 0.0:
         raise ValueError("projection of a zero field is undefined")

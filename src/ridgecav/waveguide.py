@@ -284,7 +284,8 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
     """
     _check_margins(geometry, grid)
     k0 = geometry.k0_per_um
-    sigma = (k0 * geometry.n_core) ** 2
+    with np.errstate(over="ignore"):  # an out-of-range shift fails below, as inf
+        sigma = float(np.float64(k0 * geometry.n_core) ** 2)
     stencil = 1.0 / max(grid.dx_um, grid.dy_um) ** 2
     if not sigma * np.finfo(float).eps <= _SHIFT_ROUNDING * stencil:
         raise ValueError(f"wavelength_nm = {geometry.wavelength_nm:g} is too short for this grid: "
@@ -329,11 +330,15 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
 
 def mode_area(f: SampledField) -> float:
     """Effective area (integral I)^2 / integral I^2 with I = |E|^2 (um^2)."""
-    intensity = np.abs(f.amplitudes) ** 2
-    total = intensity.sum() * f.cell_area_um2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below, as inf or NaN
+        intensity = np.abs(f.amplitudes) ** 2
+        total = intensity.sum() * f.cell_area_um2
+        area = total**2 / ((intensity**2).sum() * f.cell_area_um2)
+    check_value("field power", total)
     if total == 0.0:
         raise ValueError("mode area of a zero field is undefined")
-    return float(total**2 / ((intensity**2).sum() * f.cell_area_um2))
+    check_value("mode area", area)
+    return float(area)
 
 
 def group_index(n_eff_samples) -> float:
@@ -343,7 +348,10 @@ def group_index(n_eff_samples) -> float:
     Three or more samples use a central difference at the middle wavelength;
     exactly two use the secant evaluated at the midpoint.
     """
-    samples = np.array(sorted((float(w), float(n)) for w, n in n_eff_samples))
+    try:
+        samples = np.array(sorted((float(w), float(n)) for w, n in n_eff_samples))
+    except (TypeError, ValueError):
+        raise ValueError("n_eff_samples must be (wavelength_nm, n_eff) pairs") from None
     if len(samples) < 2:
         raise ValueError("need at least 2 (wavelength, n_eff) samples")
     for value in samples.flat:
@@ -352,12 +360,15 @@ def group_index(n_eff_samples) -> float:
     if np.any(np.diff(wl) == 0):
         raise ValueError("wavelengths must be distinct")
     m = len(samples) // 2
-    if len(samples) % 2 == 0:
-        lam = 0.5 * (wl[m - 1] + wl[m])
-        n_mid = 0.5 * (ne[m - 1] + ne[m])
-        slope = (ne[m] - ne[m - 1]) / (wl[m] - wl[m - 1])
-    else:
-        lam = wl[m]
-        n_mid = ne[m]
-        slope = (ne[m + 1] - ne[m - 1]) / (wl[m + 1] - wl[m - 1])
-    return float(n_mid - lam * slope)
+    with np.errstate(all="ignore"):  # a difference out of float range fails below
+        if len(samples) % 2 == 0:
+            lam = 0.5 * (wl[m - 1] + wl[m])
+            n_mid = 0.5 * (ne[m - 1] + ne[m])
+            slope = (ne[m] - ne[m - 1]) / (wl[m] - wl[m - 1])
+        else:
+            lam = wl[m]
+            n_mid = ne[m]
+            slope = (ne[m + 1] - ne[m - 1]) / (wl[m + 1] - wl[m - 1])
+        n_g = float(n_mid - lam * slope)
+    check_value("group index", n_g)
+    return n_g

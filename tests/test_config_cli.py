@@ -772,6 +772,31 @@ def test_cli_mode_rejects_a_wavelength_that_rounds_away_the_stencil(tmp_path, ca
     assert not (tmp_path / "mode_field.csv").exists()
 
 
+@pytest.mark.parametrize("trap_block, named", [
+    (TRAP_BLOCK + "atom_mass_kg = 1e290\n", "barrier_height_uK"),  # a barrier of 1.6e287 J
+    (TRAP_BLOCK.replace("1.2e-55", "1e256"), "trap potential in uK"),  # U near -1e288 J
+], ids=["heavy-atom", "strong-wall"])
+def test_cli_trap_profile_out_of_float_range_in_uk_writes_nothing(tmp_path, capsys, trap_block,
+                                                                   named):
+    # U stays finite but overflows in uK: the run fails naming the figure
+    # before the profile CSV is written (it exited 0 with inf in the CSV)
+    text = BASE_WAVEGUIDE + trap_block
+    code, out, err = run_cli(capsys, "trap", write_config(tmp_path, text), "--out", str(tmp_path))
+    assert code == 2
+    assert err == f"error: {named} must be finite, got inf\n"
+    assert out == ""
+    assert not (tmp_path / "trap_profile.csv").exists()
+
+
+def test_cli_mode_without_a_propagating_solution_exits_3(tmp_path, capsys):
+    text = BASE_WAVEGUIDE.replace("wavelength_nm = 780.0", "wavelength_nm = 1e5")
+    code, out, err = run_cli(capsys, "mode", write_config(tmp_path, text), "--out", str(tmp_path))
+    assert code == 3
+    assert err == "error: no propagating solution found\n"
+    assert out == ""
+    assert not (tmp_path / "mode_field.csv").exists()
+
+
 FUZZ_ARGV = (["mode"], ["gap-scan"], ["gap-scan", "--phase-scan"], ["trap"], ["budget"],
              ["budget", "--no-gap"])
 EXTREMES = ("0", "-1", "5e-324", "1e-300", "1e-9", "1e-3", "0.5", "2", "1e3", "1e9", "1e300",

@@ -39,6 +39,17 @@ def test_gap_result_rejects_non_finite_intensities(R, T):
         GapResult(R=R, T=T, loss=1.0 - R - T, r_amplitude=0j, t_amplitude=0j)
 
 
+def test_gap_result_rejects_a_negative_loss():
+    with pytest.raises(ValueError, match=r"^loss = -0.1 is negative$"):
+        GapResult(R=0.5, T=0.5, loss=-0.1, r_amplitude=0j, t_amplitude=0j)
+
+
+def test_zero_field_has_no_projection():
+    f = SampledField(np.zeros((64, 64)), 0.25, 0.25, 780.0)
+    with pytest.raises(ValueError, match=r"^projection of a zero field is undefined$"):
+        gap_scattering(f, GapConfig())
+
+
 def test_fresnel_index_matched():
     r, t = fresnel_interface(1.0)
     assert r == 0.0
@@ -351,6 +362,50 @@ def test_sampled_gaussian_scatters_as_its_analytic_weights(w_x_um, w_y_um, d_um)
     res = gap_scattering(f, cfg)
     assert abs(res.r_amplitude - r_gap) < 1e-12
     assert abs(res.t_amplitude - t_gap) < 1e-12
+
+
+def _paraxial_and_exact_t(w_um, d_um):
+    """t_gap of a round Gaussian's analytic weights with paraxial k_z, and with exact
+    k_z (evanescent waves dropped), on the reference lattice."""
+    f, w, kt2 = _elliptic_gaussian(w_um, w_um)
+    k = f.wavenumber_per_um
+    propagating = k * k - kt2 > 0.0
+    r, _, n_terms = _interface(GapConfig())
+    paraxial = _bounce_sums(((k - kt2 / (2.0 * k)).ravel(), w.ravel()), r, n_terms, d_um)
+    exact = _bounce_sums((np.sqrt(k * k - kt2[propagating]), w[propagating]), r, n_terms, d_um)
+    return _series(paraxial, r)[1], _series(exact, r)[1]
+
+
+@pytest.mark.parametrize("d_um", [0.5, 1.0, 1.96, 3.0])
+def test_paraxial_error_of_the_analytical_estimate_falls_as_the_fourth_power_of_k_w(d_um):
+    # the paraxial k_z drops k_t^4 / 8k^3, so its phase error over L is about
+    # L / (k^3 w^4): |dt| ~ (k w)^-4.  Measured from w = 1.5 to 3 um: 4.16,
+    # 3.98, 3.71 and 3.74 at the four widths
+    dt = [abs(np.subtract(*_paraxial_and_exact_t(w_um, d_um))) for w_um in (1.5, 3.0)]
+    assert 3.5 <= np.log2(dt[0] / dt[1]) <= 4.5
+
+
+def test_paraxial_closed_form_reads_the_gap_loss_low_by_two_percent():
+    # a sampled Gaussian with the reference mode's second-moment widths at
+    # d = 1.96 um: the numerical model against the N-term series of the
+    # paraxial Q(L) = exp(i k L) / sqrt((1 + i L / k w_x^2) (1 + i L / k w_y^2))
+    w_x_um, w_y_um, d_um = 1.475, 1.671, 1.96
+    f, _, _ = _elliptic_gaussian(w_x_um, w_y_um)
+    k = f.wavenumber_per_um
+
+    def q(length_um):
+        return np.exp(1j * k * length_um) / np.sqrt((1 + 1j * length_um / (k * w_x_um**2))
+                                                    * (1 + 1j * length_um / (k * w_y_um**2)))
+
+    r, _, n_terms = _interface(GapConfig())
+    p = np.arange(n_terms)
+    t_gap = (1 - r * r) * np.sum(r ** (2 * p) * q((2 * p + 1) * d_um))
+    r_gap = r - (1 - r * r) * np.sum(r ** (2 * p + 1) * q((2 * p + 2) * d_um))
+    closed_form = 1 - abs(r_gap) ** 2 - abs(t_gap) ** 2
+    numerical = gap_scattering(f, GapConfig(d_um=d_um)).loss
+    assert numerical == pytest.approx(0.04281, abs=1e-5)
+    assert closed_form == pytest.approx(0.04201, abs=1e-5)
+    assert (numerical - closed_form) / closed_form == pytest.approx(0.019, abs=1e-3)
 
 
 def _constructive_figures(mode):

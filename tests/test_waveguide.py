@@ -368,6 +368,21 @@ def test_window_too_small_is_rejected():
         solve_fundamental_mode(RIDGE, GridSpec(nx=64, ny=64, window_x_um=10.0, window_y_um=10.0))
 
 
+def test_window_too_short_above_the_ridge_is_rejected():
+    # wide enough in x, but the top of an 11 um window is 7.5 um above the
+    # slab, 3.5 um above the 4 um ridge
+    grid = GridSpec(nx=64, ny=64, window_x_um=24.0, window_y_um=11.0)
+    message = r"^window_y_um=11 leaves less than 4 um above or below the ridge$"
+    with pytest.raises(ValueError, match=message):
+        solve_fundamental_mode(RIDGE, grid)
+
+
+def test_wavelength_far_beyond_the_window_has_no_propagating_solution():
+    # at 100 um the shift-inverted top eigenvalue puts beta^2 below 0
+    with pytest.raises(NoGuidedMode, match=r"^no propagating solution found$"):
+        solve_fundamental_mode(replace(RIDGE, wavelength_nm=1e5), GRID)
+
+
 def test_mode_area_flat_top():
     nx, window = 128, 16.0
     dx = window / nx
