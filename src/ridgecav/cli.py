@@ -157,6 +157,7 @@ def cmd_budget(args) -> int:
             gap_amp = float(rrt.min())  # constructive in-gap interference
     budget = full_budget(area, cfg.cavity, gap_amp, cfg.atom, budget_cfg.enhancement)
 
+    mirrors = []
     for pairs in sorted({3, 6, cfg.mirror.pairs}):
         stack = quarter_wave_stack(
             pairs,
@@ -166,7 +167,8 @@ def cmd_budget(args) -> int:
             n_exit=1.0,
             wavelength_nm=cfg.geometry.wavelength_nm,
         )
-        refl = stack_reflectivity(stack, cfg.geometry.wavelength_nm)
+        mirrors.append((pairs, stack_reflectivity(stack, cfg.geometry.wavelength_nm)))
+    for pairs, refl in mirrors:  # all computed first, so a failure prints nothing
         print(f"mirror_R_{pairs}pair_percent={_fmt(100.0 * refl)}")
     print(f"mode_area_um2={_fmt(area)}")
     if gap_amp is not None:

@@ -107,6 +107,9 @@ def full_budget(area: float, spec: CavitySpec, gap_amplitude: float | None,
     else:
         finesse = finesse_from_round_trip(g_rt)
         kappa_intr = linewidth_ghz(finesse, fsr) / 2.0
+        if kappa_intr == 0.0:  # the FSR went to 0: name the keys that set it
+            raise ValueError(f"kappa_intr_over_2pi_GHz underflows to 0 at n_group = "
+                             f"{spec.n_group:g}, length_um = {spec.length_um:g}")
         # mirror transmission rate equal to the intrinsic rate maximizes the
         # single-atom detection signal to noise
         coop = cooperativity(g_mhz, 2.0 * kappa_intr, atom.gamma_half_MHz, enhancement)

@@ -8,26 +8,12 @@ number, or an entry in `cli._EXIT_CODES`.
 
 import dataclasses
 import math
-import operator
+from functools import lru_cache
 
 import numpy as np
 
-_BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
-           "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
 
-
-def _check(name, value, bounds, integer=False) -> None:
-    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    if integer and not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    for kind, bound in bounds.items():
-        holds, symbol = _BOUNDS[kind]
-        if not holds(value, bound):
-            raise ValueError(f"{name} must be {symbol} {bound}, got {value}")
-
-
-def check_value(name, value, *, integer=False, **bounds) -> None:
+def check_value(name, value, *, integer=False, gt=None, ge=None, lt=None, le=None) -> None:
     """Reject a non-finite float, or a value outside any gt/ge/lt/le bound.
 
     Fails as `<name> must be <op> <bound>, got <value>`, or as `<name> must
@@ -35,7 +21,31 @@ def check_value(name, value, *, integer=False, **bounds) -> None:
     value than an int or a NumPy integer fails as `<name> must be an integer,
     got <value>`.
     """
-    _check(name, value, bounds, integer)
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if integer and not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if gt is not None and not value > gt:
+        raise ValueError(f"{name} must be > {gt}, got {value}")
+    if ge is not None and not value >= ge:
+        raise ValueError(f"{name} must be >= {ge}, got {value}")
+    if lt is not None and not value < lt:
+        raise ValueError(f"{name} must be < {lt}, got {value}")
+    if le is not None and not value <= le:
+        raise ValueError(f"{name} must be <= {le}, got {value}")
+
+
+@lru_cache(maxsize=None)
+def _field_rules(cls):
+    """(name, integer, gt, ge, lt, le) of each field of a dataclass, built once per class."""
+    rules = []
+    for f in dataclasses.fields(cls):
+        unknown = set(f.metadata) - {"gt", "ge", "lt", "le"}
+        if unknown:
+            raise ValueError(f"{cls.__name__}.{f.name} declares unknown bounds {sorted(unknown)}")
+        rules.append((f.name, f.type in ("int", int),
+                      *(f.metadata.get(kind) for kind in ("gt", "ge", "lt", "le"))))
+    return tuple(rules)
 
 
 def check_fields(obj) -> None:
@@ -43,14 +53,13 @@ def check_fields(obj) -> None:
 
     A field declares its domain as `field(metadata={"ge": 1})`, with any of
     gt, ge, lt and le, and a field declared `int` must hold an integer.  None
-    (unset) passes.
+    (unset) passes.  A class whose metadata holds any other key is rejected
+    the first time one of its instances is checked.
     """
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
+    for name, integer, gt, ge, lt, le in _field_rules(type(obj)):
+        value = getattr(obj, name)
         if value is not None:
-            # metadata is a mappingproxy: unpacking it as **kwargs costs more
-            # than the whole check
-            _check(f.name, value, f.metadata, f.type in ("int", int))
+            check_value(name, value, integer=integer, gt=gt, ge=ge, lt=lt, le=le)
 
 
 class RidgecavError(Exception):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,23 +95,24 @@ def fresnel_interface(n: float):
     return r, t
 
 
-def _num_terms(r: float, cfg: GapConfig) -> int:
+def _num_terms(r: float, series_tolerance: float, p_max: int) -> int:
     """Terms needed before the weight |r|^(2p) drops below the tolerance."""
     p = 0
-    while r ** (2 * p) >= cfg.series_tolerance:
+    while r ** (2 * p) >= series_tolerance:
         p += 1
-        if p > cfg.p_max:
+        if p > p_max:
             raise SeriesNotConverged(
-                f"term weight |r|^(2p) still {r ** (2 * cfg.p_max):.2e} at "
-                f"p_max={cfg.p_max} (tolerance {cfg.series_tolerance:g})"
+                f"term weight |r|^(2p) still {r ** (2 * p_max):.2e} at "
+                f"p_max={p_max} (tolerance {series_tolerance:g})"
             )
     return p
 
 
-def _interface(cfg: GapConfig):
-    """(r, sqrt(1 - r^2), N): derived once per public call and passed down."""
-    r, _ = fresnel_interface(cfg.n_interface)
-    return r, math.sqrt(1.0 - r * r), _num_terms(r, cfg)
+@lru_cache
+def _interface(n_interface: float, series_tolerance: float, p_max: int):
+    """(r, sqrt(1 - r^2), N) of a GapConfig's interface fields; a term cap hit is not kept."""
+    r, _ = fresnel_interface(n_interface)
+    return r, math.sqrt(1.0 - r * r), _num_terms(r, series_tolerance, p_max)
 
 
 def _dot(a, b):
@@ -184,7 +186,7 @@ def _series_at(mode, cfg: GapConfig, d_um):
     k0 d is checked at the largest width before any arithmetic.  The spectrum
     is kept on a ModeSolution and built anew for a bare SampledField.
     """
-    r, s, n_terms = _interface(cfg)
+    r, s, n_terms = _interface(cfg.n_interface, cfg.series_tolerance, cfg.p_max)
     solved = isinstance(mode, ModeSolution)
     d_max = d_um[-1] if isinstance(d_um, np.ndarray) else d_um
     _check_width(mode.field if solved else mode, float(d_max))
@@ -193,11 +195,22 @@ def _series_at(mode, cfg: GapConfig, d_um):
 
 
 def _gap_result(mode, cfg: GapConfig):
-    """(r, s), the bounce sums at cfg.d_um and the GapResult they give."""
+    """(r, s), the bounce sums at cfg.d_um and the GapResult they give.
+
+    A ModeSolution keeps the last of these beside its spectrum, with the
+    config object they came from: a call on that same (frozen) object reuses
+    them, and the entry holds it, so its id cannot be reused by another.
+    """
+    kept = mode.__dict__ if isinstance(mode, ModeSolution) else {}
+    last = kept.get("_gap_result")
+    if last is not None and last[0] is cfg:
+        return last[1]
     (r, s, n_terms), sums, amplitudes = _series_at(mode, cfg, cfg.d_um)
     r_amp, t_amp = (complex(a) for a in amplitudes)
     R, T, loss = _intensities(r_amp, t_amp, n_terms, cfg)
-    return (r, s), sums, GapResult(R=R, T=T, loss=loss, r_amplitude=r_amp, t_amplitude=t_amp)
+    result = (r, s), sums, GapResult(R=R, T=T, loss=loss, r_amplitude=r_amp, t_amplitude=t_amp)
+    kept["_gap_result"] = cfg, result
+    return result
 
 
 def gap_scattering(mode, cfg: GapConfig) -> GapResult:
@@ -277,14 +290,24 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     return GapResult(R=R, T=T, loss=loss, r_amplitude=r_amp, t_amplitude=t_amp)
 
 
-def _round_trip(gap: GapResult, arm_phase_rad):
-    """composite_round_trip's r_rt as an array, for one arm phase or an array of them.
+@lru_cache(maxsize=1)
+def _phase_grid(n_phases: int):
+    """The read-only arm phases linspace(0, 2 pi, n_phases, endpoint=False) and their exp(i phi)."""
+    phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
+    phasors = np.exp(1j * phases)
+    phases.flags.writeable = phasors.flags.writeable = False
+    return phases, phasors
 
-    A single phase goes through a scan's array kernels, so it equals the scan's entry.
-    """
-    phase = np.exp(1j * np.atleast_1d(arm_phase_rad))
+
+def _phasor(arm_phase_rad: float):
+    """exp(i arm_phase) as a 1-element array: the scan's kernel, so r_rt equals its entry."""
+    return np.exp(1j * np.atleast_1d(arm_phase_rad))
+
+
+def _round_trip(gap: GapResult, phasors):
+    """composite_round_trip's r_rt at each unit phasor exp(i arm_phase) of an array."""
     return np.abs(
-        gap.r_amplitude + gap.t_amplitude**2 * phase / (1.0 - gap.r_amplitude * phase)
+        gap.r_amplitude + gap.t_amplitude**2 * phasors / (1.0 - gap.r_amplitude * phasors)
     )
 
 
@@ -301,14 +324,14 @@ def composite_round_trip(mode, cfg: GapConfig, arm_phase_rad: float) -> float:
     every phase.
     """
     check_value("arm_phase_rad", arm_phase_rad)
-    return float(_round_trip(gap_scattering(mode, cfg), arm_phase_rad)[0])
+    return float(_round_trip(gap_scattering(mode, cfg), _phasor(arm_phase_rad))[0])
 
 
 def round_trip_phase_scan(mode, cfg: GapConfig, n_phases: int = 720):
-    """(phases, r_rt) arrays over arm_phase in [0, 2 pi)."""
+    """(phases, r_rt) arrays over arm_phase in [0, 2 pi); phases is read-only and shared."""
     check_value("n_phases", n_phases, integer=True, ge=1)
-    phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
-    return phases, _round_trip(gap_scattering(mode, cfg), phases)
+    phases, phasors = _phase_grid(n_phases)
+    return phases, _round_trip(gap_scattering(mode, cfg), phasors)
 
 
 def field_enhancement(mode, cfg: GapConfig, arm_phase_rad: float) -> float:
@@ -323,9 +346,10 @@ def field_enhancement(mode, cfg: GapConfig, arm_phase_rad: float) -> float:
     """
     check_value("arm_phase_rad", arm_phase_rad)
     (r, s), (sum0, sum1, sum2), gres = _gap_result(mode, cfg)
-    phase = np.exp(1j * arm_phase_rad)
+    phasor = _phasor(arm_phase_rad)
+    phase = phasor[0]
     b = phase * gres.t_amplitude / (1.0 - gres.r_amplitude * phase)  # arm-side injection
-    r_rt = _round_trip(gres, arm_phase_rad)[0]
+    r_rt = _round_trip(gres, phasor)[0]
 
     g_fwd = s * (sum0 + b * (-r) * sum1)
     g_bwd = s * (-r * sum2 + b * sum1)

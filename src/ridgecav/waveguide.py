@@ -75,6 +75,8 @@ class ModeSolution:
 
     `spectrum` is the profile's (k_z, w) on the propagating band, built on first
     use and kept for every later gap call; the solver makes the profile read-only.
+    The gap model also keeps here its last single-width evaluation, for the one
+    GapConfig object it was made for.
     """
 
     field: SampledField

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from ridgecav import GridSpec, SampledField, WaveguideGeometry, solve_fundamental_mode
 from ridgecav.propagation import _spectrum
@@ -24,6 +25,15 @@ settings.register_profile("ridgecav", derandomize=True, deadline=None,
 settings.load_profile("ridgecav")
 
 GRID = GridSpec(nx=256, ny=256, window_x_um=24.0, window_y_um=24.0)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def hypothesis_home(tmp_path_factory):
+    """Hypothesis' files (its cache of each module's constants) go to a pytest temp directory.
+
+    Left at its default, the home directory is .hypothesis/ in the working tree.
+    """
+    set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
 
 
 @pytest.fixture(scope="session")

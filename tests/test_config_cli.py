@@ -604,6 +604,17 @@ def test_cli_budget_rejects_zero_reflectivity_mirror(tmp_path, capsys, key):
     assert out == ""
 
 
+def test_cli_budget_prints_nothing_when_a_mirror_stack_fails(tmp_path, capsys):
+    # the 0-pair stack is fine, the 3-pair one is not (its high-index layer
+    # thickness underflows to 0): no mirror line may be printed before the error
+    block = "\n[mirror]\npairs = 0\nn_high = 1e308\n"
+    cfg = write_config(tmp_path, BASE_WAVEGUIDE + BUDGET_BLOCK + block)
+    code, out, err = run_cli(capsys, "budget", cfg, "--no-gap", "--out", str(tmp_path))
+    assert code == 2
+    assert err == "error: layer thickness_nm must be > 0, got 0.0\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("line, extreme, alpha, length", [
     ("length_um = 300.0", "length_um = 1e300", "1.03", "1e+300"),
     ("alpha_per_cm = 1.03", "alpha_per_cm = 1e305", "1e+305", "300"),

@@ -154,7 +154,7 @@ CASES = [
          {"area": ("mode_area_um2", "g_over_2pi_MHz"),
           "gap_amplitude": ("gap_round_trip_amplitude", "g_rt"),
           "enhancement": ("enhancement", "cooperativity"),
-          **{name: (name, "fsr_ghz", "g_over_2pi_MHz", "g_rt", "cooperativity", "kappa")
+          **{name: (name, "fsr_ghz", "g_over_2pi_MHz", "g_rt", "cooperativity")
              for name in CAVITY}}),
     Case("fresnel_interface", rc.fresnel_interface, dict(n=3.155), _floats(["n"])),
     _gap_case("gap_scattering", rc.gap_scattering),

@@ -29,6 +29,9 @@ from ridgecav.gap import _bounce_sums, _interface, _num_terms, _series
 from ridgecav.propagation import _spectrum
 from conftest import GRID, RIDGE, make_gaussian, q_factors
 
+# the default GapConfig's interface fields, as _interface takes them
+_INTERFACE = (GapConfig().n_interface, GapConfig().series_tolerance, GapConfig().p_max)
+
 WL_UM = 0.780
 
 
@@ -290,7 +293,7 @@ def test_closed_form_equals_literal_ladder_sum(w0_um, d_um, n_interface, log_tol
     f = make_gaussian(w0_um, nx=64)
     cfg = GapConfig(d_um=d_um, n_interface=n_interface, series_tolerance=10.0**log_tolerance)
     r, _ = fresnel_interface(n_interface)
-    n_terms = _num_terms(r, cfg)
+    n_terms = _num_terms(r, cfg.series_tolerance, cfg.p_max)
     q = q_factors(f, d_um * np.arange(2 * n_terms + 1))
     weights = r ** (2 * np.arange(n_terms))
     s0, s1, s2 = (np.sum(weights * q[j:j + 2 * n_terms:2]) for j in range(3))
@@ -334,7 +337,7 @@ def test_bounce_sums_of_gaussian_weights_equal_the_paraxial_closed_form(w_x_um, 
     # the worst seen was 2.1e-10, at w_x = w_y = 1.5 um (6 x 6 widths, 31 gaps)
     f, w, kt2 = _elliptic_gaussian(w_x_um, w_y_um)
     k = f.wavenumber_per_um
-    r, _, n_terms = _interface(GapConfig())
+    r, _, n_terms = _interface(*_INTERFACE)
     sums = _bounce_sums(((k - kt2 / (2.0 * k)).ravel(), w.ravel()), r, n_terms, d_um)
     r_gap, t_gap = _series(sums, r)
 
@@ -356,7 +359,7 @@ def test_sampled_gaussian_scatters_as_its_analytic_weights(w_x_um, w_y_um, d_um)
     cfg = GapConfig(d_um=d_um)
     k2 = f.wavenumber_per_um**2
     propagating = k2 - kt2 > 0.0
-    r, _, n_terms = _interface(cfg)
+    r, _, n_terms = _interface(cfg.n_interface, cfg.series_tolerance, cfg.p_max)
     r_gap, t_gap = _series(_bounce_sums((np.sqrt(k2 - kt2[propagating]), w[propagating]),
                                         r, n_terms, d_um), r)
     res = gap_scattering(f, cfg)
@@ -370,7 +373,7 @@ def _paraxial_and_exact_t(w_um, d_um):
     f, w, kt2 = _elliptic_gaussian(w_um, w_um)
     k = f.wavenumber_per_um
     propagating = k * k - kt2 > 0.0
-    r, _, n_terms = _interface(GapConfig())
+    r, _, n_terms = _interface(*_INTERFACE)
     paraxial = _bounce_sums(((k - kt2 / (2.0 * k)).ravel(), w.ravel()), r, n_terms, d_um)
     exact = _bounce_sums((np.sqrt(k * k - kt2[propagating]), w[propagating]), r, n_terms, d_um)
     return _series(paraxial, r)[1], _series(exact, r)[1]
@@ -397,7 +400,7 @@ def test_paraxial_closed_form_reads_the_gap_loss_low_by_two_percent():
         return np.exp(1j * k * length_um) / np.sqrt((1 + 1j * length_um / (k * w_x_um**2))
                                                     * (1 + 1j * length_um / (k * w_y_um**2)))
 
-    r, _, n_terms = _interface(GapConfig())
+    r, _, n_terms = _interface(*_INTERFACE)
     p = np.arange(n_terms)
     t_gap = (1 - r * r) * np.sum(r ** (2 * p) * q((2 * p + 1) * d_um))
     r_gap = r - (1 - r * r) * np.sum(r ** (2 * p + 1) * q((2 * p + 2) * d_um))
@@ -859,3 +862,83 @@ def test_fresh_solved_mode_builds_its_spectrum_once(ridge_mode, monkeypatch):
     field_enhancement(mode, cfg, 0.7)
     gap_scattering(mode, cfg)
     assert len(builds) == 1
+
+
+def _unsolved_copy(mode):
+    """A ModeSolution of the same profile that has kept nothing yet."""
+    return ModeSolution(mode.field, mode.n_eff, mode.mode_area_um2)
+
+
+def test_calls_after_a_phase_scan_equal_cold_calls(ridge_mode):
+    # the scan's evaluation is kept on the mode and reused by the calls after it
+    for d_um in (0.0, 0.3, 1.96, 2.73):
+        cfg = GapConfig(d_um=d_um)
+        warm = _unsolved_copy(ridge_mode)
+        phases, rrt = round_trip_phase_scan(warm, cfg, 360)
+        for phase in (float(phases[np.argmin(rrt)]), float(phases[np.argmax(rrt)]), -2.0):
+            assert (repr(field_enhancement(warm, cfg, phase))
+                    == repr(field_enhancement(_unsolved_copy(ridge_mode), cfg, phase)))
+            assert (repr(composite_round_trip(warm, cfg, phase))
+                    == repr(composite_round_trip(_unsolved_copy(ridge_mode), cfg, phase)))
+        cold = gap_scattering(_unsolved_copy(ridge_mode), cfg)
+        assert repr(gap_scattering(warm, cfg)) == repr(cold)
+
+
+def test_one_series_evaluation_per_mode_and_config_object(ridge_mode, monkeypatch):
+    mode, cfg = _unsolved_copy(ridge_mode), GapConfig(d_um=1.96)
+    evaluated = []  # (input, width) of each series evaluation on mode or its bare field
+    series_at = gap_module._series_at
+
+    def counting(m, c, d_um):
+        if m is mode or m is mode.field:
+            evaluated.append(("mode" if m is mode else "field", d_um))
+        return series_at(m, c, d_um)
+
+    monkeypatch.setattr(gap_module, "_series_at", counting)
+    round_trip_phase_scan(mode, cfg, 360)
+    field_enhancement(mode, cfg, 0.7)
+    composite_round_trip(mode, cfg, 0.7)
+    kept = gap_scattering(mode, cfg)
+    assert evaluated == [("mode", 1.96)]
+    assert gap_scattering(mode, cfg) is kept
+    # an equal but distinct config, another width and a bare field are each
+    # evaluated anew, and give what a mode that has kept nothing gives
+    evaluated.clear()
+    for m, c in ((mode, GapConfig(d_um=1.96)), (mode, GapConfig(d_um=0.7)), (mode, cfg),
+                 (mode.field, cfg)):
+        assert gap_scattering(m, c) == gap_scattering(_unsolved_copy(ridge_mode), c)
+        assert field_enhancement(m, c, 0.7) == field_enhancement(_unsolved_copy(ridge_mode), c, 0.7)
+    assert evaluated == [("mode", 1.96), ("mode", 0.7), ("mode", 1.96),
+                         ("field", 1.96), ("field", 1.96)]
+    assert "_gap_result" not in vars(mode.field)
+
+
+def test_a_call_that_raises_keeps_nothing(ridge_mode):
+    mode, cfg = _unsolved_copy(ridge_mode), GapConfig()
+    for _ in range(2):  # a term cap hit is raised on every call, not kept
+        with pytest.raises(SeriesNotConverged, match="p_max=3"):
+            gap_scattering(mode, GapConfig(d_um=1.0, p_max=3, series_tolerance=1e-10))
+    with pytest.raises(ValueError, match="k0 d"):
+        gap_scattering(mode, GapConfig(d_um=1e308))
+    assert "_gap_result" not in vars(mode)
+    kept = gap_scattering(mode, cfg)
+    # raised after the bounce sums were formed: the earlier evaluation stays
+    with pytest.raises(SeriesNotConverged, match="series_tolerance"):
+        gap_scattering(mode, GapConfig(d_um=0.35, series_tolerance=0.01))
+    assert gap_scattering(mode, cfg) is kept
+
+
+def test_phase_grid_is_read_only_and_equals_linspace(ridge_mode):
+    # one grid is kept at a time, so alternating sizes rebuilds it each time
+    cfg = GapConfig()
+    gres = gap_scattering(ridge_mode, cfg)
+    for n_phases in (360, 7, 360, 7, np.int64(7)):
+        phases, rrt = round_trip_phase_scan(ridge_mode, cfg, n_phases)
+        expected = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
+        assert phases.tobytes() == expected.tobytes()
+        assert not phases.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            phases[0] = 1.0
+        closed_form = np.abs(gres.r_amplitude + gres.t_amplitude**2 * np.exp(1j * expected)
+                             / (1.0 - gres.r_amplitude * np.exp(1j * expected)))
+        assert rrt.tobytes() == closed_form.tobytes()

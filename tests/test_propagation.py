@@ -158,6 +158,7 @@ def test_spectral_projection_equals_propagate_then_project(ridge_mode):
 def test_projection_factors_bounded_by_one(ridge_mode):
     # every Q(k d) the gap series sums is a projection of a unit-power field
     for d in (0.5, 1.0, 1.96, 2.7):
-        _, _, n_terms = _interface(GapConfig(d_um=d))
+        cfg = GapConfig(d_um=d)
+        _, _, n_terms = _interface(cfg.n_interface, cfg.series_tolerance, cfg.p_max)
         q = q_factors(ridge_mode.field, d * np.arange(2 * n_terms + 1))
         assert np.all(np.abs(q) <= 1 + 1e-9)
