@@ -150,8 +150,17 @@ def quarter_wave_stack(pairs: int, n_high: float = 2.35, n_low: float = 1.50,
     check_value("pairs", pairs, integer=True, ge=0)
     check_value("n_high", n_high, ge=1)
     check_value("n_low", n_low, ge=1)
-    layers = [(n, wavelength_nm / (4.0 * n)) for _ in range(pairs) for n in (n_low, n_high)]
-    return MirrorStack(layers=tuple(layers), n_incident=n_incident, n_exit=n_exit)
+    pair = []
+    for name, n in (("n_low", n_low), ("n_high", n_high)):
+        thickness = wavelength_nm / (4.0 * n)
+        if pairs:  # a thickness out of range is named with the inputs it came from
+            try:
+                check_value("layer thickness_nm", thickness, gt=0)
+            except ValueError as exc:
+                raise ValueError(f"{exc}: wavelength_nm / (4 {name}) at wavelength_nm = "
+                                 f"{wavelength_nm:g}, {name} = {n:g}") from None
+        pair.append((n, thickness))
+    return MirrorStack(layers=tuple(pair) * pairs, n_incident=n_incident, n_exit=n_exit)
 
 
 def stack_reflectivity(stack: MirrorStack, wavelength_nm: float) -> float:

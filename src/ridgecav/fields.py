@@ -107,14 +107,18 @@ class SampledField:
     def power(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.cell_area_um2)
 
-    def normalized(self) -> "SampledField":
-        """Scale to unit power."""
+    def _normalizing_power(self) -> float:
+        """The power p that `normalized` divides out as sqrt(p): finite and nonzero, or raises."""
         with np.errstate(over="ignore"):  # an overflowing power fails below, as inf
             p = self.power()
         check_value("field power", p)
         if p == 0.0:
             raise ValueError("cannot normalize a zero field")
-        return replace(self, amplitudes=self.amplitudes / np.sqrt(p))
+        return p
+
+    def normalized(self) -> "SampledField":
+        """Scale to unit power."""
+        return replace(self, amplitudes=self.amplitudes / np.sqrt(self._normalizing_power()))
 
     def x_coords_um(self) -> np.ndarray:
         return _cell_centres(self.nx, self.dx_um)

@@ -257,7 +257,7 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     check_value("n_bounces", n_bounces, integer=True, ge=1)
     f = mode.field if isinstance(mode, ModeSolution) else mode
     _check_width(f, cfg.d_um)
-    f = f.normalized()
+    p = f._normalizing_power()  # the field is normalized on its band spectrum, below
     r, _ = fresnel_interface(cfg.n_interface)
     s = math.sqrt(1.0 - r * r)  # a float, so the amplitudes below stay Python complex
     (ix, iy), kz, mask = _band(f)
@@ -269,7 +269,7 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     band = (cx, cy), (mx, my)
     b = round(math.sqrt(n_bounces))
 
-    spectrum = _on_grid(_band_amplitudes(f, ix, iy), *band)
+    spectrum = _on_grid(_band_amplitudes(f, ix, iy) / np.sqrt(p), *band)
     forward = _on_grid(_transfer(kz, mask, cfg.d_um), *band)
     baby = np.cumprod(np.broadcast_to(forward, (b, mx, my)), axis=0)  # T^1 .. T^b
     baby *= s * spectrum

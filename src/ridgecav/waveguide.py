@@ -37,7 +37,7 @@ BOUNDARY_DECAY_LIMIT = 1e-3
 MARGIN_UM = 4.0
 # the shift sigma = k0^2 n_core^2 may round away at most this fraction of the stencil's 1/d^2
 _SHIFT_ROUNDING = 1e-6
-# Lanczos step cap: 3-5 um ridges take 15-18 steps, a 0.05 um ridge (edge in column 0) 36
+# Lanczos step cap: 3-5 um ridges take 12-15 steps, a 0.05 um ridge (edge in column 0) 30-32
 _LANCZOS_STEPS = 100
 
 
@@ -181,7 +181,7 @@ def _kept_rows(geometry: WaveguideGeometry, grid: GridSpec) -> slice:
 
 
 def _shift_invert(geometry: WaveguideGeometry, grid: GridSpec, sigma: float):
-    """(solve, start, to_grid): (A - sigma I)^-1 on the x >= 0 half-window, in the runs' eigenbasis.
+    """(shift, solve, start, to_grid): (A - shift I)^-1 on the x >= 0 half-window, in run bases.
 
     A is the half-window operator on the `_kept_rows`, with the mirror image
     folded into column 0.  Columns 0 .. j-1 are mesa and j+1 .. m-1 outside;
@@ -189,9 +189,17 @@ def _shift_invert(geometry: WaveguideGeometry, grid: GridSpec, sigma: float):
     eigenbasis Q times `_x_basis`, and meets column j through row e of the
     latter, so column j is solved through its Schur complement: its block
     minus Q diag(sum_l e_l^2 / d[l, k]) Q^T / dx^4 per run (README,
-    "Conventions worth knowing").  A vector holds each run's coefficients and
-    column j as it is; `start` is ones on the kept rows, and `to_grid` maps a
-    vector back to the half-window, with exact zeros in the dropped rows.
+    "Conventions worth knowing").  shift = sigma + 3/4 mu_top, mu_top < 0 the
+    top eigenvalue of the mesa profile's y block T(eps_mesa) - sigma I, even
+    with no mesa column: no column holds more n^2 than the mesa and the x
+    second difference is negative definite, so A's spectrum lies below
+    sigma + mu_top, and A - shift I keeps at least a quarter of the distance
+    to the spectrum that A - sigma I has: no d vanishes, and a wide mesa,
+    whose mode nears the bound, conditions it at most 4 times worse.  A
+    vector holds each run's coefficients and column j as it is; `start` is
+    the first non-empty run's top mode, (l, k) = (0, top), single-signed like
+    the fundamental mode; `to_grid` maps a vector back to the half-window,
+    with exact zeros in the dropped rows.
     """
     fx, eps_mesa, eps_out = _permittivity_factors(geometry, grid)
     kept = _kept_rows(geometry, grid)
@@ -208,20 +216,25 @@ def _shift_invert(geometry: WaveguideGeometry, grid: GridSpec, sigma: float):
         return np.diag(diag) + np.diag(off_y, 1) + np.diag(off_y, -1)
 
     inv_d = np.zeros((m, ny))  # row j stays 0: column j is solved through the Schur complement
-    start = np.ones((m, ny))
+    start = np.zeros((m, ny))
     runs = []  # (rows, x basis, y basis, c e) of each non-empty run
     # the mesa run starts at the mirror and ends next to j; the outside run starts next to j
     for first, count, eps, mirror in ((0, j, eps_mesa, True), (j + 1, m - j - 1, eps_out, False)):
+        if not (count or mirror):
+            continue
+        mu, y_basis = np.linalg.eigh(block(eps, 0.0))
+        if mirror:
+            lift = 0.75 * mu[-1]  # shift - sigma
         if count:
             rows = slice(first, first + count)
             x_basis, kappa = _x_basis(count, mirror)
-            mu, y_basis = np.linalg.eigh(block(eps, 0.0))
-            inv_d[rows] = 1.0 / (mu + c * kappa[:, None])
+            inv_d[rows] = 1.0 / (mu - lift + c * kappa[:, None])
             coupling = c * x_basis[-1 if mirror else 0]
-            start[rows] = np.outer(x_basis.sum(axis=0), y_basis.sum(axis=0))
             runs.append((rows, x_basis, y_basis, coupling))
+    start[runs[0][0].start, -1] = 1.0
     # column j's block is built after the eigh calls, whose freed workspace it reuses
-    schur = block(_columns(fx[j : j + 1], eps_mesa, eps_out)[0], (-1.0 if j == 0 else -2.0) * c)
+    lead = (-1.0 if j == 0 else -2.0) * c - lift
+    schur = block(_columns(fx[j : j + 1], eps_mesa, eps_out)[0], lead)
     for rows, _, y_basis, coupling in runs:
         schur -= (y_basis * (coupling**2 @ inv_d[rows])) @ y_basis.T
     schur_inv = np.linalg.inv(schur)
@@ -242,32 +255,34 @@ def _shift_invert(geometry: WaveguideGeometry, grid: GridSpec, sigma: float):
             out[rows, kept] = x_basis @ out[rows, kept] @ y_basis.T
         return out
 
-    return solve, start.ravel(), to_grid
+    return sigma + lift, solve, start.ravel(), to_grid
 
 
 def _lanczos(op, v0):
     """Largest-magnitude eigenpair (theta, unit vector) of the symmetric operator op.
 
-    Lanczos from v0, reorthogonalized against the whole basis at every step,
-    stopped once the Ritz residual |beta_k y_k| is at most machine epsilon
-    times |theta|.  Raises EigensolveFailed after _LANCZOS_STEPS.
+    Lanczos from v0: each step subtracts the three-term recurrence, then
+    reorthogonalizes once against the whole basis, and stops once the Ritz
+    residual |beta_k y_k| is at most machine epsilon times |theta|.  Raises
+    EigensolveFailed after _LANCZOS_STEPS.
     """
     basis = np.empty((_LANCZOS_STEPS + 1, v0.size))  # rows are touched only as they are filled
     basis[0] = v0 / np.linalg.norm(v0)
-    alpha, beta = [], []
+    tri = np.zeros((_LANCZOS_STEPS + 1, _LANCZOS_STEPS + 1))  # the tridiagonal, filled as it grows
     for k in range(_LANCZOS_STEPS):
         w = op(basis[k])
+        if k:
+            w -= tri[k, k - 1] * basis[k - 1]
+        alpha = tri[k, k] = basis[k] @ w
+        w -= alpha * basis[k]
         v = basis[: k + 1]
-        h = v @ w
-        w -= h @ v
-        w -= (v @ w) @ v  # a second pass restores orthogonality to working precision
-        alpha.append(h[k])
+        w -= (v @ w) @ v  # what the recurrence left along the basis, to working precision
         b = float(np.linalg.norm(w))
-        thetas, ys = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        thetas, ys = np.linalg.eigh(tri[: k + 1, : k + 1])
         top = int(np.argmax(np.abs(thetas)))
         if abs(b * ys[-1, top]) <= np.finfo(float).eps * abs(thetas[top]):
             return float(thetas[top]), ys[:, top] @ v
-        beta.append(b)
+        tri[k, k + 1] = tri[k + 1, k] = b
         basis[k + 1] = w / b
     raise EigensolveFailed(
         f"eigensolve failed: no convergence in {_LANCZOS_STEPS} Lanczos steps"
@@ -294,13 +309,13 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
                          f"k0^2 n_core^2 = {sigma:.3g} per um^2 rounds away more than "
                          f"{_SHIFT_ROUNDING:g} of the stencil's 1/d^2 = {stencil:.3g} per um^2")
     try:
-        solve, start, to_grid = _shift_invert(geometry, grid, sigma)
+        shift, solve, start, to_grid = _shift_invert(geometry, grid, sigma)
         theta, vec = _lanczos(solve, start)
         half = to_grid(vec)
         del solve, start, to_grid, vec  # frees the solver's matrices before the profile: peak RSS
     except np.linalg.LinAlgError as exc:  # LAPACK's inv or eigh failing
         raise EigensolveFailed(f"eigensolve failed: {exc}") from exc
-    beta_sq = sigma + 1.0 / theta
+    beta_sq = shift + 1.0 / theta
     if beta_sq <= 0:
         raise NoGuidedMode("no propagating solution found")
     n_eff = float(np.sqrt(beta_sq) / k0)

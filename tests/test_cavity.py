@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -177,6 +179,21 @@ def test_quarter_wave_stack_reference(pairs, expected_pct, tol_pts):
     indices = [n for n, _ in stack.layers]
     oracle = 100.0 * admittance_reflectivity(3.155, 1.0, indices)
     assert refl == pytest.approx(oracle, abs=1e-9)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n_high=1e308), "> 0, got 0.0: wavelength_nm / (4 n_high) at wavelength_nm = 780, "
+                         "n_high = 1e+308"),
+    (dict(n_low=1e308), "> 0, got 0.0: wavelength_nm / (4 n_low) at wavelength_nm = 780, "
+                        "n_low = 1e+308"),
+    (dict(wavelength_nm=np.inf), "finite, got inf: wavelength_nm / (4 n_low) at "
+                                 "wavelength_nm = inf, n_low = 1.5"),
+], ids=["n_high", "n_low", "wavelength"])
+def test_quarter_wave_stack_names_what_breaks_a_layer(kwargs, message):
+    # 4 n overflows to inf, so lambda / (4 n) is 0: the error names the index and wavelength
+    with pytest.raises(ValueError, match=f"^layer thickness_nm must be {re.escape(message)}$"):
+        quarter_wave_stack(3, **kwargs)
+    assert quarter_wave_stack(0, **kwargs).layers == ()  # no layer, nothing to break
 
 
 def test_stack_reflectivity_monotone_in_pairs():

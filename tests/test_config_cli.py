@@ -248,7 +248,7 @@ def fail_singular(*args, **kwargs):
 
 
 # one case per solver stage: the dense factorization reports a singular matrix,
-# or the iterative eigensolver does not converge (the reference mode needs 16
+# or the iterative eigensolver does not converge (the reference mode needs 12
 # Lanczos steps; a cap of 3 cannot reach it)
 @pytest.mark.parametrize("target, name, value, error", [
     pytest.param(np.linalg, "inv", fail_singular,
@@ -267,14 +267,18 @@ def test_cli_mode_solver_failure_exit_code(tmp_path, capsys, monkeypatch, target
     assert not (tmp_path / "mode_field.csv").exists()
 
 
-def run_python(code, *args):
-    """`python -c code args` in a fresh interpreter that imports ridgecav from src/."""
+def run_fresh(*args, check=True):
+    """`python args` in a fresh interpreter that imports ridgecav from src/."""
     src = pathlib.Path(ridgecav.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, check=True, timeout=60)
-    return proc.stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=check, timeout=60)
+
+
+def run_python(code, *args):
+    """The stdout of `python -c code args` in a fresh interpreter."""
+    return run_fresh("-c", code, *args).stdout
 
 
 # the scipy modules loaded, as the last line of stdout
@@ -304,6 +308,25 @@ def test_only_mode_solving_commands_load_scipy(tmp_path, command):
     loaded = run_python("import sys; from ridgecav.cli import main; "
                         "assert main(sys.argv[1:]) == 0; " + LIST_SCIPY, *argv)
     assert loaded.splitlines()[-1].split() == []
+
+
+def test_python_m_runs_the_cli_and_exits_with_its_code(tmp_path):
+    # `python -m ridgecav.cli` goes through the module's __main__ guard: fit
+    # prints its report and exits 0; a missing config exits 2 with one error
+    # line and no traceback
+    data = tmp_path / "finesse.csv"
+    data.write_text("length_um,finesse\n260,21.7\n650,16.9\n1300,12.3\n")
+    fit = run_fresh("-m", "ridgecav.cli", "fit", str(data))
+    assert fit.stderr == ""
+    assert [line.split("=", 1)[0] for line in fit.stdout.splitlines()] == [
+        "R_fit", "alpha_fit_per_cm", "sigma_R", "sigma_alpha", "residual_norm", "rank_deficient"]
+    missing = tmp_path / "missing.cfg"
+    mode = run_fresh("-m", "ridgecav.cli", "mode", str(missing), "--out", str(tmp_path),
+                     check=False)
+    assert mode.returncode == cli.EXIT_VALIDATION == 2
+    assert mode.stdout == ""
+    assert mode.stderr == (f"error: cannot read config: [Errno 2] No such file or directory: "
+                           f"'{missing}'\n")
 
 
 def test_cli_mode_zero_contrast(tmp_path, capsys):
@@ -606,12 +629,14 @@ def test_cli_budget_rejects_zero_reflectivity_mirror(tmp_path, capsys, key):
 
 def test_cli_budget_prints_nothing_when_a_mirror_stack_fails(tmp_path, capsys):
     # the 0-pair stack is fine, the 3-pair one is not (its high-index layer
-    # thickness underflows to 0): no mirror line may be printed before the error
+    # thickness underflows to 0, and the error names the index and the
+    # wavelength it came from): no mirror line may be printed before the error
     block = "\n[mirror]\npairs = 0\nn_high = 1e308\n"
     cfg = write_config(tmp_path, BASE_WAVEGUIDE + BUDGET_BLOCK + block)
     code, out, err = run_cli(capsys, "budget", cfg, "--no-gap", "--out", str(tmp_path))
     assert code == 2
-    assert err == "error: layer thickness_nm must be > 0, got 0.0\n"
+    assert err == ("error: layer thickness_nm must be > 0, got 0.0: wavelength_nm / (4 n_high) "
+                   "at wavelength_nm = 780, n_high = 1e+308\n")
     assert out == ""
 
 

@@ -121,6 +121,24 @@ def test_brute_force_rejects_an_overflowing_field_power():
         brute_force_gap_scattering(f, GapConfig(), n_bounces=4)
 
 
+@pytest.mark.parametrize("scale", [1e3, 1e-3])
+def test_brute_force_normalizes_the_field_on_its_band(ridge_mode, scale):
+    # the field's power is divided out of its band spectrum, not out of a
+    # normalized copy of the grid: a scaled field bounces as the mode does
+    f = ridge_mode.field
+    cfg = GapConfig(d_um=1.96)
+    want = brute_force_gap_scattering(f, cfg, n_bounces=48)
+    got = brute_force_gap_scattering(replace(f, amplitudes=scale * f.amplitudes), cfg, n_bounces=48)
+    assert abs(got.R - want.R) <= 1e-15
+    assert abs(got.T - want.T) <= 1e-15
+
+
+def test_brute_force_rejects_a_zero_field():
+    f = SampledField(np.zeros((16, 16)), dx_um=0.75, dy_um=0.75)
+    with pytest.raises(ValueError, match=r"^cannot normalize a zero field$"):
+        brute_force_gap_scattering(f, GapConfig(d_um=1.0), n_bounces=4)
+
+
 @pytest.mark.parametrize("n_bounces", [0, -3])
 def test_brute_force_needs_a_bounce(n_bounces):
     # no bounce would report R = r^2, T = 0 and the rest as loss

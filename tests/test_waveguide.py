@@ -241,18 +241,70 @@ def test_solve_matches_sparse_shift_invert_eigsh(geometry, grid):
 def test_block_elimination_solves_the_shifted_operator(geometry, grid):
     # the solve works in the runs' eigenbasis on the kept y rows: map a
     # right-hand side g and its solution to the grid and check the residual
-    # of the half-window operator restricted to those rows
+    # of the half-window operator restricted to those rows, at the shift the
+    # solver chose; that shift lies strictly above the operator's spectrum,
+    # by at least a quarter of sigma's distance to it
     sigma = (geometry.k0_per_um * geometry.n_core) ** 2
     kept = waveguide._kept_rows(geometry, grid)
-    index = (np.arange(grid.nx // 2)[:, None] * grid.ny + np.arange(grid.ny)[kept]).ravel()
-    A = half_window_operator(geometry, grid)[index][:, index]
+    A = _kept_rows_operator(geometry, grid)
     g = np.random.default_rng(7).standard_normal(A.shape[0])
-    solve, start, to_grid = waveguide._shift_invert(geometry, grid, sigma)
+    shift, solve, start, to_grid = waveguide._shift_invert(geometry, grid, sigma)
+    top = np.linalg.eigvalsh(A.toarray())[-1]
+    assert top < shift < sigma
+    assert shift - top >= (sigma - top) / 4
     f, u = to_grid(g)[:, kept].ravel(), to_grid(solve(g))[:, kept].ravel()
     assert np.linalg.norm(f) == pytest.approx(np.linalg.norm(g), rel=1e-14)
-    assert np.abs(to_grid(start)[:, kept] - 1.0).max() <= 1e-13
-    residual = A @ u - sigma * u - f
+    _assert_start_is_the_first_runs_top_mode(geometry, grid, start, to_grid)
+    residual = A @ u - shift * u - f
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(f)
+
+
+def _kept_rows_operator(geometry, grid):
+    """half_window_operator restricted to the y rows the solver keeps."""
+    kept = waveguide._kept_rows(geometry, grid)
+    index = (np.arange(grid.nx // 2)[:, None] * grid.ny + np.arange(grid.ny)[kept]).ravel()
+    return half_window_operator(geometry, grid)[index][:, index]
+
+
+def _assert_start_is_the_first_runs_top_mode(geometry, grid, start, to_grid):
+    """start is one coefficient: (l, k) = (0, top) of the mesa run, or of the outside
+    run when the edge cuts column 0; on the grid (returned, made nonnegative) a
+    single-signed unit vector on that run."""
+    fx = _permittivity_factors(geometry, grid)[0][grid.nx // 2 :]
+    j = int(np.count_nonzero(fx == 1.0))
+    columns = slice(0, j) if j else slice(1, grid.nx // 2)
+    rows = start.size // (grid.nx // 2)
+    assert np.flatnonzero(start).tolist() == [columns.start * rows + rows - 1]
+    assert start.max() == 1.0
+    s = to_grid(start)
+    s *= np.sign(s.sum())
+    assert np.linalg.norm(s) == pytest.approx(1.0, rel=1e-14)
+    assert s.min() >= -1e-15 * s.max()
+    assert np.count_nonzero(np.abs(s).max(axis=1)) == columns.stop - columns.start
+    assert np.all(s[columns].max(axis=1) > 0)
+    return s
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shift_bounds_the_spectrum_and_the_start_overlaps_the_mode(seed):
+    # seeded 3-5 um ridges at 760-800 nm, on a grid small enough for a dense
+    # eigvalsh: the operator's top eigenvalue lies strictly below the shift,
+    # and the start, like the mode, is single-signed, so their overlap is positive
+    rng = np.random.default_rng(seed)
+    geometry = replace(RIDGE, ridge_width_um=float(rng.uniform(3.0, 5.0)),
+                       wavelength_nm=float(rng.uniform(760.0, 800.0)))
+    grid = replace(GRID, nx=64, ny=64)
+    sigma = (geometry.k0_per_um * geometry.n_core) ** 2
+    shift, _, start, to_grid = waveguide._shift_invert(geometry, grid, sigma)
+    top = np.linalg.eigvalsh(_kept_rows_operator(geometry, grid).toarray())[-1]
+    assert top < shift < sigma
+    assert shift - top >= (sigma - top) / 4
+    s = _assert_start_is_the_first_runs_top_mode(geometry, grid, start, to_grid)
+    mode = solve_fundamental_mode(geometry, grid)
+    assert (mode.n_eff * geometry.k0_per_um) ** 2 == pytest.approx(top, rel=1e-14)
+    half = mode.field.amplitudes.real[grid.nx // 2 :]
+    assert half.min() >= -1e-15 * half.max()
+    assert np.vdot(s, half) > 0
 
 
 @pytest.mark.parametrize("geometry, grid, reached", [
@@ -308,23 +360,46 @@ def test_closed_form_x_basis_diagonalizes_the_second_difference(count, mirror):
     assert np.abs(np.sort(kappa) - np.linalg.eigh(second)[0]).max() <= 2e-14
 
 
-def test_reference_solve_needs_fewer_shift_invert_solves_than_the_default_basis(monkeypatch):
-    # each Lanczos step is one shift-invert solve: the reference mode takes
-    # 16, where ARPACK's default 20-vector basis took 21
+def _count_solves(monkeypatch):
+    """A list that gets one entry per shift-invert solve, i.e. per Lanczos step."""
     solves = []
     shift_invert = waveguide._shift_invert
 
     def counting_shift_invert(*args):
-        solve, start, to_grid = shift_invert(*args)
+        shift, solve, start, to_grid = shift_invert(*args)
 
         def counted(f):
             solves.append(1)
             return solve(f)
-        return counted, start, to_grid
+        return shift, counted, start, to_grid
 
     monkeypatch.setattr(waveguide, "_shift_invert", counting_shift_invert)
+    return solves
+
+
+def test_reference_solve_needs_fewer_shift_invert_solves_than_the_default_basis(monkeypatch):
+    # each Lanczos step is one shift-invert solve: the reference mode takes
+    # 12, where ARPACK's default 20-vector basis took 21
+    solves = _count_solves(monkeypatch)
     solve_fundamental_mode(RIDGE, GRID)
-    assert 0 < len(solves) < 21
+    assert len(solves) == 12
+
+
+@pytest.mark.parametrize("geometry, grid", [
+    pytest.param(replace(RIDGE, ridge_width_um=0.05, n_exterior=3.144),
+                 replace(GRID, nx=64, ny=64), id="0.05um-exterior-3.144"),
+    pytest.param(replace(RIDGE, ridge_width_um=5e-324), replace(GRID, nx=32, ny=32),
+                 id="5e-324um"),
+])
+def test_sub_cell_ridges_converge_with_one_orthogonalization_pass(monkeypatch, geometry, grid):
+    # one Gram-Schmidt pass on the raw product A^-1 v_k loses orthogonality
+    # on these and never converges (EigensolveFailed); the three-term
+    # recurrence, then one pass against the basis, converges within the cap
+    # and finds no guided mode
+    solves = _count_solves(monkeypatch)
+    with pytest.raises(NoGuidedMode, match="is not above the cladding index"):
+        solve_fundamental_mode(geometry, grid)
+    assert len(solves) < waveguide._LANCZOS_STEPS
 
 
 def test_reference_mode_is_pinned(ridge_mode):
