@@ -19,12 +19,11 @@ as `[block] key must be <op> <bound>, got <value>`.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
-from typing import get_type_hints
+from dataclasses import dataclass, field
 
 from .cavity import CavitySpec
 from .cqed import AtomParams
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, _field_rules, check_fields
 from .fields import GridSpec
 from .gap import GapConfig
 from .trap import TrapConfig
@@ -83,12 +82,8 @@ class ProjectConfig:
 
 def _parse_block(section: str, cls, items) -> dict:
     """Typed values of one block: file defaults, then the file's own keys."""
-    hints = get_type_hints(cls)
-    types = {
-        f.name: int if hints[f.name] is int else float
-        for f in fields(cls)
-        if f.name not in _COMPUTED
-    }
+    types = {name: int if integer else float
+             for name, integer, *_ in _field_rules(cls) if name not in _COMPUTED}
     block = dict(_FILE_DEFAULTS.get(section, {}))
     for key, raw in items:
         if key not in types:

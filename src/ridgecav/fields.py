@@ -104,13 +104,17 @@ class SampledField:
     def wavenumber_per_um(self) -> float:
         return _wavenumber_per_um(self.wavelength_nm)
 
+    def _power_sum(self) -> float:
+        """sum |E|^2 over the samples, inf where it overflows: each caller checks it its own way."""
+        with np.errstate(over="ignore"):
+            return float(np.sum(np.abs(self.amplitudes) ** 2))
+
     def power(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.cell_area_um2)
+        return self._power_sum() * self.cell_area_um2
 
     def _normalizing_power(self) -> float:
         """The power p that `normalized` divides out as sqrt(p): finite and nonzero, or raises."""
-        with np.errstate(over="ignore"):  # an overflowing power fails below, as inf
-            p = self.power()
+        p = self.power()
         check_value("field power", p)
         if p == 0.0:
             raise ValueError("cannot normalize a zero field")

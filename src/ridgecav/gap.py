@@ -14,7 +14,7 @@ through-product is 1 - r^2):
 where the sign difference comes from the air-side reflections being -r.
 Q(L) = sum w exp(i k_z L) over the mode's angular spectrum, so each plane
 wave crosses the gap as its own Airy etalon, and the N-term series sums in
-closed form per component (`_bounce_sums`).  A ModeSolution keeps its
+closed form per component (`_bounce_sums`).  A ModeSolution keeps its band
 spectrum for every later call, while a bare SampledField pays one per call,
 for one width or a scan.  The phase uses k = 2 pi/lambda (the gap medium is
 air), so the etalon resonances fall at gap widths of an integer number of
@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SeriesNotConverged, check_fields, check_value
-from .propagation import _band, _band_amplitudes, _on_grid, _spectrum, _transfer
+from .propagation import _band, _on_grid, _spectrum, _transfer
 from .waveguide import ModeSolution
 
 # widths x k_z per block of a scan: each block's complex arrays (256 KiB each)
@@ -190,7 +190,7 @@ def _series_at(mode, cfg: GapConfig, d_um):
     solved = isinstance(mode, ModeSolution)
     d_max = d_um[-1] if isinstance(d_um, np.ndarray) else d_um
     _check_width(mode.field if solved else mode, float(d_max))
-    sums = _bounce_sums(mode.spectrum if solved else _spectrum(mode), r, n_terms, d_um)
+    sums = _bounce_sums(mode.spectrum if solved else _spectrum(mode, _band(mode)), r, n_terms, d_um)
     return (r, s, n_terms), sums, _series(sums, r)
 
 
@@ -255,12 +255,13 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     above 1, as too few bounces can.
     """
     check_value("n_bounces", n_bounces, integer=True, ge=1)
-    f = mode.field if isinstance(mode, ModeSolution) else mode
+    solved = isinstance(mode, ModeSolution)
+    f = mode.field if solved else mode
     _check_width(f, cfg.d_um)
     p = f._normalizing_power()  # the field is normalized on its band spectrum, below
     r, _ = fresnel_interface(cfg.n_interface)
     s = math.sqrt(1.0 - r * r)  # a float, so the amplitudes below stay Python complex
-    (ix, iy), kz, mask = _band(f)
+    (ix, iy), kz, mask, amplitudes = mode.band if solved else _band(f)
     places = []  # each box index's place on the band grid, and the grid's size m
     for i, n in ((ix, f.nx), (iy, f.ny)):
         m = min(n, 1 << (i.size - 1).bit_length())  # a power of two >= the box, or n
@@ -269,7 +270,7 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     band = (cx, cy), (mx, my)
     b = round(math.sqrt(n_bounces))
 
-    spectrum = _on_grid(_band_amplitudes(f, ix, iy) / np.sqrt(p), *band)
+    spectrum = _on_grid(amplitudes / np.sqrt(p), *band)
     forward = _on_grid(_transfer(kz, mask, cfg.d_um), *band)
     baby = np.cumprod(np.broadcast_to(forward, (b, mx, my)), axis=0)  # T^1 .. T^b
     baby *= s * spectrum

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import EigensolveFailed, NoGuidedMode, check_fields, check_value
 from .fields import GridSpec, SampledField, _wavenumber_per_um
-from .propagation import _spectrum
+from .propagation import _band, _spectrum
 
 BOUNDARY_DECAY_LIMIT = 1e-3
 MARGIN_UM = 4.0
@@ -73,7 +73,7 @@ class WaveguideGeometry:
 class ModeSolution:
     """Solved fundamental mode: unit-power profile, n_eff and mode area.
 
-    `spectrum` is the profile's (k_z, w) on the propagating band, built on first
+    `band` (`propagation._band`) and the `spectrum` merged from it are built on first
     use and kept for every later gap call; the solver makes the profile read-only.
     The gap model also keeps here its last single-width evaluation, for the one
     GapConfig object it was made for.
@@ -84,15 +84,17 @@ class ModeSolution:
     mode_area_um2: float
 
     @cached_property
+    def band(self):
+        return _band(self.field)
+
+    @cached_property
     def spectrum(self):
-        return _spectrum(self.field)
+        return _spectrum(self.field, self.band)
 
 
 def _coverage(low, high, a, b):
-    """Per-cell fraction of the interval [low, high] covered by [a, b]."""
-    return np.clip(
-        (np.minimum(high, b) - np.maximum(low, a)) / (high - low), 0.0, 1.0
-    )
+    """Per-cell fraction of [low, high] covered by [a, b]; at most 1, as rounding is monotone."""
+    return np.maximum((np.minimum(high, b) - np.maximum(low, a)) / (high - low), 0.0)
 
 
 def _y_faces(geometry: WaveguideGeometry, grid: GridSpec):
@@ -154,13 +156,13 @@ def _x_basis(count: int, mirror: bool):
     (l + 1) pi / (count + 1); its eigenvalue is -4 sin^2(t_l / 2).  Phases are
     reduced mod 2 pi in integers, so they keep full precision.
     """
-    if mirror:  # every phase is an integer a_i a_l times pi / n
+    if mirror:  # every phase is an integer a_i a_l times pi / n, so a table of 2n holds them
         a, n = 2 * np.arange(count) + 1, 4 * count + 2
-        basis = np.cos(np.outer(a, a) % (2 * n) * (np.pi / n)) * np.sqrt(8.0 / n)
-        return basis, -4.0 * np.sin(a * np.pi / n) ** 2
+        table = np.cos(np.arange(2 * n) * (np.pi / n)) * np.sqrt(8.0 / n)
+        return table[np.outer(a, a) % (2 * n)], -4.0 * np.sin(a * np.pi / n) ** 2
     a, n = np.arange(count) + 1, count + 1
-    basis = np.sin(np.outer(a, a) % (2 * n) * (np.pi / n)) * np.sqrt(2.0 / n)
-    return basis, -4.0 * np.sin(a * np.pi / (2 * n)) ** 2
+    table = np.sin(np.arange(2 * n) * (np.pi / n)) * np.sqrt(2.0 / n)
+    return table[np.outer(a, a) % (2 * n)], -4.0 * np.sin(a * np.pi / (2 * n)) ** 2
 
 
 def _kept_rows(geometry: WaveguideGeometry, grid: GridSpec) -> slice:
@@ -341,7 +343,7 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
 
     profile = SampledField(amplitudes=amps.astype(complex), dx_um=grid.dx_um, dy_um=grid.dy_um,
                            wavelength_nm=geometry.wavelength_nm)
-    profile.amplitudes.setflags(write=False)  # an in-place write would leave `spectrum` stale
+    profile.amplitudes.setflags(write=False)  # an in-place write would leave `band` stale
     return ModeSolution(field=profile, n_eff=n_eff, mode_area_um2=mode_area(profile))
 
 

@@ -1,12 +1,21 @@
 """Shared fixtures: the reference ridge mode and synthetic fields."""
 
+import os
+import sys
+
+# no src/ridgecav/__pycache__/ is written, whatever PYTHONDONTWRITEBYTECODE says, by this
+# process or by the interpreters the tests start: a stray .pyc there changes what a fresh
+# `python -m ridgecav.cli` pays to import
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from ridgecav import GridSpec, SampledField, WaveguideGeometry, solve_fundamental_mode
-from ridgecav.propagation import _spectrum
+from ridgecav.propagation import _band, _spectrum
 
 RIDGE = WaveguideGeometry(
     ridge_width_um=4.0,
@@ -70,5 +79,5 @@ def q_factors(f, distances_um):
     The projection factors the gap series weights its bounces by, formed term
     by term; the model itself sums them only in closed form.
     """
-    kz, w = _spectrum(f)
+    kz, w = _spectrum(f, _band(f))
     return np.exp(1j * np.multiply.outer(np.asarray(distances_um, dtype=float), kz)) @ w

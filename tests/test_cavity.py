@@ -220,6 +220,11 @@ def test_stack_validation():
             MirrorStack(layers=(layer,), n_incident=3.155, n_exit=1.0)
     with pytest.raises(ValueError, match="n_exit must be >= 1, got 0.5"):
         MirrorStack(layers=(), n_incident=3.155, n_exit=0.5)
+    # an incidence medium of any index from 1 up is accepted; a bare 1.5 -> 1 facet reflects 4%
+    for n_incident in (1.0, 1.5, 1.999):
+        assert MirrorStack(layers=(), n_incident=n_incident, n_exit=1.0).n_incident == n_incident
+    bare = MirrorStack(layers=(), n_incident=1.5, n_exit=1.0)
+    assert stack_reflectivity(bare, 780.0) == pytest.approx(0.04, rel=1e-12)
 
 
 # --- loss fit ---------------------------------------------------------------
@@ -369,9 +374,10 @@ def test_fit_rejects_malformed_rows(data, row):
 @pytest.mark.parametrize("data, message", [
     ([(0.0, 21.7), (650.0, 16.9), (1300.0, 12.3)], "lengths and finesses must be positive"),
     ([(260.0, 21.7), (650.0, -16.9), (1300.0, 12.3)], "lengths and finesses must be positive"),
+    ([(260.0, 21.7), (650.0, 0.0), (1300.0, 12.3)], "lengths and finesses must be positive"),
     ([(260.0, 21.7, 0.5), (650.0, 16.9, 0.0), (1300.0, 12.3, 0.5)],
      "finesse sigmas must be positive"),
-], ids=["zero-length", "negative-finesse", "zero-sigma"])
+], ids=["zero-length", "negative-finesse", "zero-finesse", "zero-sigma"])
 def test_fit_rejects_non_positive_data(data, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         fit_losses(data)

@@ -26,7 +26,7 @@ from ridgecav import (
 from ridgecav import gap as gap_module, propagation, waveguide
 from ridgecav.fields import SampledField
 from ridgecav.gap import _bounce_sums, _interface, _num_terms, _series
-from ridgecav.propagation import _spectrum
+from ridgecav.propagation import _band, _spectrum
 from conftest import GRID, RIDGE, make_gaussian, q_factors
 
 # the default GapConfig's interface fields, as _interface takes them
@@ -110,6 +110,16 @@ def test_overflowing_spectral_power_is_one_error(scatter):
     message = r"^spectral power of the field must be finite, got inf$"
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
         scatter(f, GapConfig())  # the warnings off, as the CLI runs
+
+
+@pytest.mark.parametrize("solved", [False, True], ids=["field", "mode"])
+def test_overflowing_band_transform_is_one_error(solved):
+    # F of 1e306 amplitudes on 64^2 overflows in the band transform; that
+    # raises no RuntimeWarning (an error in this suite) ahead of the power check
+    f = SampledField(np.full((64, 64), 1e306 + 0j), 0.25, 0.25, 780.0)
+    mode = ModeSolution(f, 3.15, 1.0) if solved else f
+    with pytest.raises(ValueError, match=r"^spectral power of the field must be finite, got inf$"):
+        gap_scattering(mode, GapConfig())
 
 
 def test_brute_force_rejects_an_overflowing_field_power():
@@ -475,7 +485,7 @@ def test_measured_window_convergence_of_the_gap_model(ridge_mode):
     for k, (loss, r_rt, dropped) in zip((1, 2, 4), measured):
         f = _zero_padded(ridge_mode.field, k)
         assert _constructive_figures(f) == pytest.approx((loss, r_rt), rel=1e-6)
-        assert 1.0 - _spectrum(f)[1].sum() == pytest.approx(dropped, abs=1e-7)
+        assert 1.0 - _spectrum(f, _band(f))[1].sum() == pytest.approx(dropped, abs=1e-7)
 
 
 def test_brute_force_bounce_agreement(ridge_mode):
@@ -563,6 +573,21 @@ def _offset_gaussian(grid, w0_um, offset_um, wavelength_nm):
                         wavelength_nm=wavelength_nm)
 
 
+@pytest.mark.parametrize("d_um", [0.4, 1.96])
+def test_bounces_on_a_band_grid_that_does_not_divide_the_field_grid(d_um):
+    # 80 samples over 24 um at 780 nm: the 61-wide band box sits on a 64
+    # band grid, and 2n = 160 is no multiple of 64, so the negative
+    # frequencies land in their place (index i - n) only if placed right
+    f = _offset_gaussian((80, 80, 24.0, 24.0), 2.0, (0.7, -0.4), 780.0)
+    (ix, iy), *_ = _band(f)
+    assert ix.size == iy.size == 61
+    cfg = GapConfig(d_um=d_um)
+    brute = brute_force_gap_scattering(f, cfg, n_bounces=24)
+    r_amp, t_amp = _fine_grid_bounces(f, cfg, 24)
+    assert abs(brute.r_amplitude - r_amp) < 1e-12
+    assert abs(brute.t_amplitude - t_amp) < 1e-12
+
+
 # (nx, ny, window_x_um, window_y_um): crops to 64^2; already 64^2 (nothing
 # cropped); non-square with dx != dy (crops to 64 x 32); a 32^2 grid whose
 # propagating disc reaches the Nyquist frequency (nothing cropped)
@@ -609,7 +634,7 @@ def test_spectrum_takes_one_1d_pass_per_axis_and_no_full_grid_transform(ridge_mo
     # the band transform along y (all 256 columns), then along x on the 61
     # band columns; the total comes from Parseval's theorem, not from an fft2
     calls = _spy_on_ffts(monkeypatch)
-    _spectrum(ridge_mode.field)
+    _spectrum(ridge_mode.field, _band(ridge_mode.field))
     assert calls == [("fft", (256, 256), 1), ("fft", (256, 61), 0)]
 
 
@@ -619,7 +644,7 @@ def test_reference_mode_bounces_on_a_64_grid(ridge_mode, monkeypatch):
     # inverse transform: the b = 7 baby fields in one stack and the 7 giant
     # fields one each, 14 in all, with no forward 2-D transform and none at 256^2
     calls = _spy_on_ffts(monkeypatch)
-    brute_force_gap_scattering(ridge_mode, GapConfig(d_um=1.96), n_bounces=48)
+    brute_force_gap_scattering(_unsolved_copy(ridge_mode), GapConfig(d_um=1.96), n_bounces=48)
     one_d = [(shape, axis) for name, shape, axis in calls if name == "fft"]
     two_d = [(name, shape) for name, shape, _ in calls if name != "fft"]
     assert one_d == [((256, 256), 1), ((256, 61), 0)]
@@ -628,17 +653,20 @@ def test_reference_mode_bounces_on_a_64_grid(ridge_mode, monkeypatch):
 
 @pytest.mark.parametrize("grid", [None, *BOUNCE_GRIDS])
 def test_band_box_spectrum_and_transfer_equal_the_full_grid_construction(ridge_mode, grid):
-    # k_z and F are built on the propagating box alone; the spectrum and the
+    # k_z and F are built on the propagating box alone; F, the spectrum and the
     # propagated field equal the full-grid construction bit for bit, so no
     # propagating wave lies outside the box.  The weights divide by Parseval's total
     fields = ([ridge_mode.field] if grid is None else
               [_offset_gaussian(grid, 2.0, (0.7, -0.4), wl) for wl in (700.0, 780.0, 900.0)])
     for f in fields:
         kz, mask = _kz_and_mask(f)
-        weights = np.abs(np.fft.fft2(f.amplitudes)) ** 2
+        full = np.fft.fft2(f.amplitudes)
+        weights = np.abs(full) ** 2
         total = f.nx * f.ny * np.sum(np.abs(f.amplitudes) ** 2)
         kz_distinct, which = np.unique(kz[mask], return_inverse=True)
-        kz_box, w_box = _spectrum(f)
+        band = (ix, iy), _, _, amplitudes = _band(f)
+        assert np.array_equal(amplitudes, full[np.ix_(ix, iy)])
+        kz_box, w_box = _spectrum(f, band)
         assert np.array_equal(kz_box, kz_distinct)
         assert np.array_equal(w_box, np.bincount(which, weights=weights[mask]) / total)
         for d_um in (0.0, 1.96, 7.3):
@@ -852,34 +880,43 @@ def test_gap_config_validation():
 
 
 def test_solved_mode_and_its_profile_give_identical_results(ridge_mode):
-    # the spectrum a solved mode keeps is exactly the one its profile yields
+    # the band and spectrum a solved mode keeps are exactly the ones its profile yields
     cfg = GapConfig(d_um=1.96)
 
     def results(mode):
         _, rrt = round_trip_phase_scan(mode, cfg, 360)
         return (gap_scattering(mode, cfg), loss_spectrum(mode, 0.3, 3.0, 271, cfg),
                 rrt.tolist(), composite_round_trip(mode, cfg, 0.7),
-                field_enhancement(mode, cfg, 0.7))
+                field_enhancement(mode, cfg, 0.7), brute_force_gap_scattering(mode, cfg, 48))
 
     assert results(ridge_mode) == results(ridge_mode.field)
 
 
-def test_fresh_solved_mode_builds_its_spectrum_once(ridge_mode, monkeypatch):
+@pytest.mark.parametrize("bounce_first", [False, True])
+def test_fresh_solved_mode_builds_its_spectrum_once(ridge_mode, monkeypatch, bounce_first):
+    # the series and the bounce check share the mode's one band transform,
+    # one 1-D pass along y and one along x, whichever of them runs first
     builds = []
 
-    def counting(f):
-        builds.append(f)
-        return _spectrum(f)
+    def counting(*args):
+        builds.append(args)
+        return _spectrum(*args)
 
     for module in (propagation, waveguide, gap_module):
         monkeypatch.setattr(module, "_spectrum", counting)
-    mode = ModeSolution(ridge_mode.field, ridge_mode.n_eff, ridge_mode.mode_area_um2)
+    calls = _spy_on_ffts(monkeypatch)
+    mode = _unsolved_copy(ridge_mode)
     cfg = GapConfig(d_um=1.96)
+    if bounce_first:
+        brute_force_gap_scattering(mode, cfg, n_bounces=48)
     loss_spectrum(mode, 0.3, 3.0, 11, cfg)
     round_trip_phase_scan(mode, cfg, 16)
     field_enhancement(mode, cfg, 0.7)
     gap_scattering(mode, cfg)
+    brute_force_gap_scattering(mode, cfg, n_bounces=48)
     assert len(builds) == 1
+    one_d = [(shape, axis) for name, shape, axis in calls if name == "fft"]
+    assert one_d == [((256, 256), 1), ((256, 61), 0)]
 
 
 def _unsolved_copy(mode):

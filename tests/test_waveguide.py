@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, strategies as st
 
 from ridgecav import (
     GridSpec,
@@ -98,6 +99,65 @@ def test_permittivity_map_is_mirror_symmetric(width_um):
     # mid-cell and those cells are partly covered
     eps = _columns(*_permittivity_factors(WaveguideGeometry(ridge_width_um=width_um), GRID))
     assert np.array_equal(eps, eps[::-1])
+
+
+def _rasterized_permittivity(geometry, grid, k=16):
+    """n^2 of each cell as the mean over k x k sample points, from the geometry's rectangles alone.
+
+    The slab spans the window; the mesa holds the core and, above it, the
+    cladding cap; the exterior fills the rest.  Samples are counted per
+    material, so a cell one material fills gets that n^2 exactly.
+    """
+    g = geometry
+    x = ((np.arange(grid.nx * k) + 0.5) / k - grid.nx / 2) * (grid.window_x_um / grid.nx)
+    y = (((np.arange(grid.ny * k) + 0.5) / k - grid.ny / 2) * (grid.window_y_um / grid.ny)
+         + g.core_thickness_um / 2)
+    mesa = (np.abs(x) < g.ridge_width_um / 2)[:, None]
+    core = mesa & ((0.0 <= y) & (y < g.core_thickness_um))[None, :]
+    cladding = (((-g.cladding_thickness_um <= y) & (y < 0.0))[None, :]
+                | mesa & ((g.core_thickness_um <= y) & (y < g.ridge_height_um))[None, :])
+    counts = [m.reshape(grid.nx, k, grid.ny, k).sum(axis=(1, 3)) for m in (core, cladding)]
+    exterior = k * k - counts[0] - counts[1]
+    return (g.n_core**2 * (counts[0] / k**2) + g.n_clad**2 * (counts[1] / k**2)
+            + g.n_exterior**2 * (exterior / k**2))
+
+
+def _cut_cells(faces, edges):
+    """Whether any edge lies strictly inside each cell between consecutive faces."""
+    faces, edges = np.asarray(faces), np.asarray(edges)[:, None]
+    return ((faces[:-1] < edges) & (edges < faces[1:])).any(axis=0)
+
+
+# an edge at `cells` whole cells from its reference plane, plus 0 (on a face) or a fraction
+_EDGE = st.tuples(st.integers(1, 12), st.sampled_from([0.0, 0.25, 0.5, 0.6875]))
+
+
+@given(n=st.sampled_from([32, 64, 128]), window_um=st.sampled_from([16.0, 24.0]),
+       half_width=_EDGE, half_core=_EDGE, cap=_EDGE, cladding=_EDGE,
+       n_exterior=st.sampled_from([1.0, 3.0, 3.145]))
+def test_permittivity_map_equals_an_independent_rasterizer(n, window_um, half_width, half_core,
+                                                           cap, cladding, n_exterior):
+    # capped ridges (a cladding cap above the core), edges on and off cell
+    # faces: every cell no edge cuts gets its material's n^2 exactly, and a
+    # cut cell the sampled mean within 1/k of the largest step in n^2
+    grid = GridSpec(nx=n, ny=n, window_x_um=window_um, window_y_um=window_um)
+    d = window_um / n
+    core_um = 2 * sum(half_core) * d  # y = 0 then lies on a face whenever the core's edges do
+    geometry = WaveguideGeometry(
+        ridge_width_um=2 * sum(half_width) * d, core_thickness_um=core_um,
+        ridge_height_um=core_um + sum(cap) * d, cladding_thickness_um=sum(cladding) * d,
+        n_core=3.155, n_clad=3.145, n_exterior=n_exterior)
+    k = 16
+    want = _rasterized_permittivity(geometry, grid, k)
+    got = _columns(*_permittivity_factors(geometry, grid))
+    x_faces = (np.arange(n + 1) - n / 2) * d
+    y_faces = x_faces + core_um / 2
+    half_w = geometry.ridge_width_um / 2
+    cut = (_cut_cells(x_faces, [-half_w, half_w])[:, None]
+           | _cut_cells(y_faces, [-geometry.cladding_thickness_um, 0.0, core_um,
+                                  geometry.ridge_height_um])[None, :])
+    assert np.array_equal(got[~cut], want[~cut])
+    assert np.abs(got - want)[cut].max(initial=0.0) <= (3.155**2 - n_exterior**2) / k
 
 
 def test_solved_mode_is_exactly_even(ridge_mode):
@@ -360,6 +420,20 @@ def test_closed_form_x_basis_diagonalizes_the_second_difference(count, mirror):
     assert np.abs(np.sort(kappa) - np.linalg.eigh(second)[0]).max() <= 2e-14
 
 
+@pytest.mark.parametrize("mirror", [True, False], ids=["mirror-run", "dirichlet-run"])
+def test_x_basis_table_equals_the_direct_formula(mirror):
+    # the basis looks its phases up in a table of the 2n phases m pi / n; it
+    # equals cos or sin taken on every phase of the run, bit for bit
+    for count in range(1, 300):
+        if mirror:
+            a, n = 2 * np.arange(count) + 1, 4 * count + 2
+            direct = np.cos(np.outer(a, a) % (2 * n) * (np.pi / n)) * np.sqrt(8.0 / n)
+        else:
+            a, n = np.arange(count) + 1, count + 1
+            direct = np.sin(np.outer(a, a) % (2 * n) * (np.pi / n)) * np.sqrt(2.0 / n)
+        assert np.array_equal(waveguide._x_basis(count, mirror)[0], direct), count
+
+
 def _count_solves(monkeypatch):
     """A list that gets one entry per shift-invert solve, i.e. per Lanczos step."""
     solves = []
@@ -553,7 +627,7 @@ def test_solve_leaves_the_spectrum_unbuilt():
     # 111 MiB over five reference solves (2-core Xeon, 1 BLAS thread); built
     # on first use after the solve, it left the peak where it was.
     mode = solve_fundamental_mode(RIDGE, replace(GRID, nx=64, ny=64))
-    assert "spectrum" not in vars(mode)
+    assert "spectrum" not in vars(mode) and "band" not in vars(mode)
 
 
 def test_solved_profile_is_read_only(ridge_mode):
