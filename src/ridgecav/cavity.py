@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import C_M_PER_S
-from .errors import FitDiverged, check_fields, check_value
+from .errors import FitDiverged, check_fields, check_value, fed_by
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,10 @@ def free_spectral_range_ghz(length_um: float, n_group: float) -> float:
         fsr = C_M_PER_S / (2.0 * n_group * length_um * 1e-6) / 1e9
     except ZeroDivisionError:  # the round trip underflowed to 0 m
         fsr = math.inf
-    check_value("fsr_ghz", fsr)
+    try:
+        check_value("fsr_ghz", fsr)
+    except ValueError as exc:
+        raise ValueError(str(exc) + fed_by(length_um=length_um, n_group=n_group)) from None
     return fsr
 
 
@@ -175,7 +178,12 @@ def stack_reflectivity(stack: MirrorStack, wavelength_nm: float) -> float:
         b, c = m @ np.array([1.0, stack.n_exit], dtype=complex)
         r = (stack.n_incident * b - c) / (stack.n_incident * b + c)
     refl = float(abs(r) ** 2)
-    check_value("mirror stack reflectivity", refl)
+    try:
+        check_value("mirror stack reflectivity", refl)
+    except ValueError as exc:
+        indices = ", ".join(f"{n:g}" for n in dict.fromkeys(n for n, _ in stack.layers))
+        raise ValueError(f"{exc}, from layer indices {indices}, n_incident = "
+                         f"{stack.n_incident:g}, n_exit = {stack.n_exit:g}") from None
     return refl
 
 

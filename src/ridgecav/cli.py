@@ -167,7 +167,11 @@ def cmd_budget(args) -> int:
             n_exit=1.0,
             wavelength_nm=cfg.geometry.wavelength_nm,
         )
-        mirrors.append((pairs, stack_reflectivity(stack, cfg.geometry.wavelength_nm)))
+        try:
+            mirrors.append((pairs, stack_reflectivity(stack, cfg.geometry.wavelength_nm)))
+        except ValueError as exc:  # name the keys that set the layer indices
+            raise ValueError(f"{exc} ([mirror] n_high = {cfg.mirror.n_high:g}, "
+                             f"n_low = {cfg.mirror.n_low:g})") from None
     for pairs, refl in mirrors:  # all computed first, so a failure prints nothing
         print(f"mirror_R_{pairs}pair_percent={_fmt(100.0 * refl)}")
     print(f"mode_area_um2={_fmt(area)}")

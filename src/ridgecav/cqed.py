@@ -23,7 +23,7 @@ from .cavity import (
     linewidth_ghz,
     round_trip_amplitude,
 )
-from .errors import check_fields, check_value
+from .errors import check_fields, check_value, fed_by
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,12 @@ def coupling_g_MHz(mode_area_um2: float, cavity_length_um: float,
     except ZeroDivisionError:  # the wavelength or the mode volume underflowed to 0
         e_field = math.inf
     g_mhz = atom.dipole_Cm * e_field / HBAR_J_S / (2.0 * math.pi) / 1e6
-    check_value("g_over_2pi_MHz", g_mhz)
+    try:
+        check_value("g_over_2pi_MHz", g_mhz)
+    except ValueError as exc:
+        raise ValueError(str(exc) + fed_by(
+            dipole_Cm=atom.dipole_Cm, transition_wavelength_nm=atom.transition_wavelength_nm,
+            mode_area_um2=mode_area_um2, cavity_length_um=cavity_length_um)) from None
     return g_mhz
 
 
@@ -83,7 +88,13 @@ def cooperativity(g_over_2pi_MHz: float, kappa_over_2pi_GHz: float,
         coop = enhancement * g_hz**2 / (kappa_hz * gamma_hz)
     except ArithmeticError:  # g_hz**2 overflowed, or kappa_hz * gamma_hz underflowed to 0
         coop = math.inf
-    check_value("cooperativity", coop)
+    try:
+        check_value("cooperativity", coop)
+    except ValueError as exc:
+        raise ValueError(str(exc) + fed_by(
+            enhancement=enhancement, g_over_2pi_MHz=g_over_2pi_MHz,
+            kappa_over_2pi_GHz=kappa_over_2pi_GHz,
+            gamma_over_2pi_MHz=gamma_over_2pi_MHz)) from None
     return coop
 
 

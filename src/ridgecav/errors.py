@@ -35,6 +35,11 @@ def check_value(name, value, *, integer=False, gt=None, ge=None, lt=None, le=Non
         raise ValueError(f"{name} must be <= {le}, got {value}")
 
 
+def fed_by(**inputs) -> str:
+    """`, from a = 1, b = 2`: what an error naming a derived figure appends, its inputs."""
+    return ", from " + ", ".join(f"{name} = {value:g}" for name, value in inputs.items())
+
+
 @lru_cache(maxsize=None)
 def _field_rules(cls):
     """(name, integer, gt, ge, lt, le) of each field of a dataclass, built once per class."""

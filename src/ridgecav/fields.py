@@ -1,4 +1,4 @@
-"""Sampled transverse fields on uniform grids, plus CSV import/export.
+"""Sampled transverse fields on uniform grids, their band spectra, and CSV import/export.
 
 Grid convention: samples sit at cell centers, x_i = (i - nx/2 + 0.5) * dx,
 so the window is symmetric about the origin and contains no sample exactly
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -64,12 +65,62 @@ class GridSpec:
         return _cell_centres(self.ny, self.dy_um)
 
 
+def _band(f: SampledField):
+    """((ix, iy), kz, mask, F): the field's band spectrum on the box of waves that can propagate.
+
+    ix and iy are the increasing FFT-layout indices with |frequency index| <=
+    K, K the largest with k_x^2 < k^2 (resp. k_y^2), so their product box
+    holds every propagating wave; kz is zero where mask marks a wave
+    evanescent; F is fft2 cropped to the box, one 1-D FFT per axis.  The
+    band-box test in tests/test_gap.py pins all three bit for bit.
+    """
+    k = f.wavenumber_per_um
+    kx, ky = (2.0 * np.pi * np.fft.fftfreq(n, d) for n, d in ((f.nx, f.dx_um), (f.ny, f.dy_um)))
+    ix, iy = (np.flatnonzero(k * k - a * a > 0.0) for a in (kx, ky))
+    kz2 = k * k - kx[ix, None] * kx[ix, None] - ky[iy] * ky[iy]
+    mask = kz2 > 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # huge amplitudes fail the caller's check
+        amplitudes = np.fft.fft(np.fft.fft(f.amplitudes, axis=1)[:, iy], axis=0)[ix]
+    kz = np.sqrt(np.where(mask, kz2, 0.0))
+    for a in (ix, iy, kz, mask, amplitudes):
+        a.flags.writeable = False
+    return (ix, iy), kz, mask, amplitudes
+
+
+def _spectrum(f: SampledField):
+    """(kz_distinct, w): the distinct propagating k_z of f's `band` and their power weights.
+
+    Plane-wave samples that share a k_z (kx^2 + ky^2 is degenerate on the
+    lattice) propagate identically, so their |F(k)|^2 are merged.  w is
+    normalized by the total power, so evanescent power stays dropped.  By
+    Parseval's theorem the projection factor of the gap series is then
+
+        Q(d) = sum w exp(i k_z d) = sum_k |F(k)|^2 exp(i k_z d) / sum_k |F(k)|^2
+             = <f, P_d f> / ||f||^2,
+
+    the projection of the field propagated by propagate_free_space onto the
+    original one, not re-normalized as `overlap` would.  The total
+    sum_k |F(k)|^2 is Parseval's n_x n_y sum |f|^2.
+    """
+    total = f.nx * f.ny * f._power_sum
+    check_value("spectral power of the field", total)  # huge amplitudes overflow; bounds |F|^2
+    if total == 0.0:
+        raise ValueError("projection of a zero field is undefined")
+    _, kz, mask, amplitudes = f.band
+    kz_distinct, which = np.unique(kz[mask], return_inverse=True)
+    w = np.bincount(which, weights=np.abs(amplitudes[mask]) ** 2) / total
+    kz_distinct.flags.writeable = w.flags.writeable = False
+    return kz_distinct, w
+
+
 @dataclass(frozen=True)
 class SampledField:
     """Complex scalar field sampled on a uniform transverse grid.
 
     amplitudes has shape (nx, ny), axis 0 along x.  Power is the discrete
-    integral of |E|^2 over the window.
+    integral of |E|^2 over the window.  A field owns a read-only copy of its
+    amplitudes, so what it keeps cannot go stale: `band`, `spectrum` and its
+    power sum, each built on first use, and the gap model's last evaluation.
     """
 
     amplitudes: np.ndarray = field(repr=False)
@@ -78,7 +129,8 @@ class SampledField:
     wavelength_nm: float = field(default=780.0, metadata={"gt": 0})
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)  # the one conversion, and a copy
+        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 2:
             raise ValueError("amplitudes must be a 2-D array")
@@ -104,13 +156,17 @@ class SampledField:
     def wavenumber_per_um(self) -> float:
         return _wavenumber_per_um(self.wavelength_nm)
 
+    @cached_property
     def _power_sum(self) -> float:
         """sum |E|^2 over the samples, inf where it overflows: each caller checks it its own way."""
         with np.errstate(over="ignore"):
             return float(np.sum(np.abs(self.amplitudes) ** 2))
 
+    band = cached_property(_band)
+    spectrum = cached_property(_spectrum)
+
     def power(self) -> float:
-        return self._power_sum() * self.cell_area_um2
+        return self._power_sum * self.cell_area_um2
 
     def _normalizing_power(self) -> float:
         """The power p that `normalized` divides out as sqrt(p): finite and nonzero, or raises."""

@@ -14,10 +14,10 @@ through-product is 1 - r^2):
 where the sign difference comes from the air-side reflections being -r.
 Q(L) = sum w exp(i k_z L) over the mode's angular spectrum, so each plane
 wave crosses the gap as its own Airy etalon, and the N-term series sums in
-closed form per component (`_bounce_sums`).  A ModeSolution keeps its band
-spectrum for every later call, while a bare SampledField pays one per call,
-for one width or a scan.  The phase uses k = 2 pi/lambda (the gap medium is
-air), so the etalon resonances fall at gap widths of an integer number of
+closed form per component (`_bounce_sums`).  Each function works on a field,
+a ModeSolution's profile or a bare SampledField, which keeps its spectrum and
+last single-width evaluation.  The phase uses k = 2 pi/lambda (the gap medium
+is air), so the etalon resonances fall at gap widths of an integer number of
 half wavelengths, slightly shifted by the diffraction (Gouy) phase of the mode.
 
 One array pass serves a whole width scan, and each scan row equals the
@@ -34,8 +34,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SeriesNotConverged, check_fields, check_value
-from .propagation import _band, _on_grid, _spectrum, _transfer
+from .errors import SeriesNotConverged, check_fields, check_value, fed_by
+from .fields import SampledField
+from .propagation import _on_grid, _transfer
 from .waveguide import ModeSolution
 
 # widths x k_z per block of a scan: each block's complex arrays (256 KiB each)
@@ -112,7 +113,12 @@ def _num_terms(r: float, series_tolerance: float, p_max: int) -> int:
 def _interface(n_interface: float, series_tolerance: float, p_max: int):
     """(r, sqrt(1 - r^2), N) of a GapConfig's interface fields; a term cap hit is not kept."""
     r, _ = fresnel_interface(n_interface)
-    return r, math.sqrt(1.0 - r * r), _num_terms(r, series_tolerance, p_max)
+    try:
+        n_terms = _num_terms(r, series_tolerance, p_max)
+    except SeriesNotConverged as exc:
+        raise SeriesNotConverged(str(exc) + fed_by(n_interface=n_interface,
+                                                   series_tolerance=series_tolerance)) from None
+    return r, math.sqrt(1.0 - r * r), n_terms
 
 
 def _dot(a, b):
@@ -180,42 +186,44 @@ def _intensities(r_amp: complex, t_amp: complex, n: int, cfg: GapConfig | None =
     return R, T, 1.0 - R - T
 
 
-def _series_at(mode, cfg: GapConfig, d_um):
+def _field(mode) -> SampledField:
+    """The field a gap function works on: a ModeSolution's profile, or the SampledField given."""
+    return mode.field if isinstance(mode, ModeSolution) else mode
+
+
+def _series_at(f: SampledField, cfg: GapConfig, d_um):
     """((r, s, N), bounce sums, (r_gap, t_gap)) at one width, or at an ascending 1-D array of them.
 
-    k0 d is checked at the largest width before any arithmetic.  The spectrum
-    is kept on a ModeSolution and built anew for a bare SampledField.
+    k0 d is checked at the largest width before any arithmetic.
     """
     r, s, n_terms = _interface(cfg.n_interface, cfg.series_tolerance, cfg.p_max)
-    solved = isinstance(mode, ModeSolution)
     d_max = d_um[-1] if isinstance(d_um, np.ndarray) else d_um
-    _check_width(mode.field if solved else mode, float(d_max))
-    sums = _bounce_sums(mode.spectrum if solved else _spectrum(mode, _band(mode)), r, n_terms, d_um)
+    _check_width(f, float(d_max))
+    sums = _bounce_sums(f.spectrum, r, n_terms, d_um)
     return (r, s, n_terms), sums, _series(sums, r)
 
 
-def _gap_result(mode, cfg: GapConfig):
+def _gap_result(f: SampledField, cfg: GapConfig):
     """(r, s), the bounce sums at cfg.d_um and the GapResult they give.
 
-    A ModeSolution keeps the last of these beside its spectrum, with the
-    config object they came from: a call on that same (frozen) object reuses
-    them, and the entry holds it, so its id cannot be reused by another.
+    The field keeps the last of these beside its spectrum, with the config
+    object they came from: a call on that same (frozen) object reuses them,
+    and the entry holds it, so its id cannot be reused by another.
     """
-    kept = mode.__dict__ if isinstance(mode, ModeSolution) else {}
-    last = kept.get("_gap_result")
+    last = vars(f).get("_gap_result")
     if last is not None and last[0] is cfg:
         return last[1]
-    (r, s, n_terms), sums, amplitudes = _series_at(mode, cfg, cfg.d_um)
+    (r, s, n_terms), sums, amplitudes = _series_at(f, cfg, cfg.d_um)
     r_amp, t_amp = (complex(a) for a in amplitudes)
     R, T, loss = _intensities(r_amp, t_amp, n_terms, cfg)
     result = (r, s), sums, GapResult(R=R, T=T, loss=loss, r_amplitude=r_amp, t_amplitude=t_amp)
-    kept["_gap_result"] = cfg, result
+    vars(f)["_gap_result"] = cfg, result
     return result
 
 
 def gap_scattering(mode, cfg: GapConfig) -> GapResult:
     """Sum the coherent multiple-reflection series for one gap width."""
-    return _gap_result(mode, cfg)[2]
+    return _gap_result(_field(mode), cfg)[2]
 
 
 def _check_scan(d_min_um: float, d_max_um: float, steps: int) -> None:
@@ -232,7 +240,7 @@ def loss_spectrum(mode, d_min_um: float, d_max_um: float, steps: int,
     """gap_scattering on a uniform width grid; rows of (d, R, T, loss)."""
     _check_scan(d_min_um, d_max_um, steps)
     d = np.linspace(d_min_um, d_max_um, steps)
-    (_, _, n_terms), _, (r_gap, t_gap) = _series_at(mode, base_cfg, d)
+    (_, _, n_terms), _, (r_gap, t_gap) = _series_at(_field(mode), base_cfg, d)
     return [(d_um, *_intensities(r_amp, t_amp, n_terms, base_cfg))
             for d_um, r_amp, t_amp in zip(d.tolist(), r_gap.tolist(), t_gap.tolist())]
 
@@ -255,13 +263,12 @@ def brute_force_gap_scattering(mode, cfg: GapConfig, n_bounces: int) -> GapResul
     above 1, as too few bounces can.
     """
     check_value("n_bounces", n_bounces, integer=True, ge=1)
-    solved = isinstance(mode, ModeSolution)
-    f = mode.field if solved else mode
+    f = _field(mode)
     _check_width(f, cfg.d_um)
     p = f._normalizing_power()  # the field is normalized on its band spectrum, below
     r, _ = fresnel_interface(cfg.n_interface)
     s = math.sqrt(1.0 - r * r)  # a float, so the amplitudes below stay Python complex
-    (ix, iy), kz, mask, amplitudes = mode.band if solved else _band(f)
+    (ix, iy), kz, mask, amplitudes = f.band
     places = []  # each box index's place on the band grid, and the grid's size m
     for i, n in ((ix, f.nx), (iy, f.ny)):
         m = min(n, 1 << (i.size - 1).bit_length())  # a power of two >= the box, or n
@@ -346,7 +353,7 @@ def field_enhancement(mode, cfg: GapConfig, arm_phase_rad: float) -> float:
         ratio = sqrt(n) (|G+| + |G-|) / (1 + r_rt).
     """
     check_value("arm_phase_rad", arm_phase_rad)
-    (r, s), (sum0, sum1, sum2), gres = _gap_result(mode, cfg)
+    (r, s), (sum0, sum1, sum2), gres = _gap_result(_field(mode), cfg)
     phasor = _phasor(arm_phase_rad)
     phase = phasor[0]
     b = phase * gres.t_amplitude / (1.0 - gres.r_amplitude * phase)  # arm-side injection

@@ -25,13 +25,11 @@ knowing", walks through the solver, its cost and its accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import EigensolveFailed, NoGuidedMode, check_fields, check_value
 from .fields import GridSpec, SampledField, _wavenumber_per_um
-from .propagation import _band, _spectrum
 
 BOUNDARY_DECAY_LIMIT = 1e-3
 MARGIN_UM = 4.0
@@ -71,25 +69,11 @@ class WaveguideGeometry:
 
 @dataclass(frozen=True)
 class ModeSolution:
-    """Solved fundamental mode: unit-power profile, n_eff and mode area.
-
-    `band` (`propagation._band`) and the `spectrum` merged from it are built on first
-    use and kept for every later gap call; the solver makes the profile read-only.
-    The gap model also keeps here its last single-width evaluation, for the one
-    GapConfig object it was made for.
-    """
+    """Solved fundamental mode: its unit-power profile (a read-only SampledField), n_eff, area."""
 
     field: SampledField
     n_eff: float
     mode_area_um2: float
-
-    @cached_property
-    def band(self):
-        return _band(self.field)
-
-    @cached_property
-    def spectrum(self):
-        return _spectrum(self.field, self.band)
 
 
 def _coverage(low, high, a, b):
@@ -341,9 +325,8 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
             f"limit is {BOUNDARY_DECAY_LIMIT:g}"
         )
 
-    profile = SampledField(amplitudes=amps.astype(complex), dx_um=grid.dx_um, dy_um=grid.dy_um,
+    profile = SampledField(amplitudes=amps, dx_um=grid.dx_um, dy_um=grid.dy_um,
                            wavelength_nm=geometry.wavelength_nm)
-    profile.amplitudes.setflags(write=False)  # an in-place write would leave `band` stale
     return ModeSolution(field=profile, n_eff=n_eff, mode_area_um2=mode_area(profile))
 
 

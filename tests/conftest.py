@@ -15,7 +15,6 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from ridgecav import GridSpec, SampledField, WaveguideGeometry, solve_fundamental_mode
-from ridgecav.propagation import _band, _spectrum
 
 RIDGE = WaveguideGeometry(
     ridge_width_um=4.0,
@@ -73,11 +72,19 @@ def gaussian_field():
     return make_gaussian
 
 
+def assert_read_only(f):
+    """An in-place write to the field's amplitudes, band or spectrum arrays raises."""
+    (ix, iy), kz, mask, amplitudes = f.band
+    for a in (f.amplitudes, ix, iy, kz, mask, amplitudes, *f.spectrum):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a
+
+
 def q_factors(f, distances_um):
     """Q(d) = sum w exp(i k_z d) over f's angular spectrum, for each distance.
 
     The projection factors the gap series weights its bounces by, formed term
     by term; the model itself sums them only in closed form.
     """
-    kz, w = _spectrum(f, _band(f))
+    kz, w = f.spectrum
     return np.exp(1j * np.multiply.outer(np.asarray(distances_um, dtype=float), kz)) @ w

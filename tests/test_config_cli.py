@@ -599,19 +599,28 @@ def test_cli_budget_no_gap_intrinsic_finesse(tmp_path, capsys):
     assert "gap_round_trip_amplitude" not in values
 
 
-@pytest.mark.parametrize("block, quantity", [
-    ("\n[atom]\ndipole_Cm = 1e190\n", "cooperativity"),  # g_hz**2 overflows
-    ("\n[cavity]\nlength_um = 1e-320\n", "fsr_ghz"),  # 2 n_g L underflows to 0 m
-    ("\n[atom]\ngamma_half_MHz = 1e-320\n", "cooperativity"),  # printed C=inf, exit 0
-    ("\n[atom]\ntransition_wavelength_nm = 1e-320\n", "g_over_2pi_MHz"),  # omega = x / 0
+@pytest.mark.parametrize("block, quantity, inputs", [
+    ("\n[atom]\ndipole_Cm = 1e190\n", "cooperativity",  # g_hz**2 overflows
+     "enhancement = 1, g_over_2pi_MHz = 3.32099e+220, kappa_over_2pi_GHz = 1.40419, "
+     "gamma_over_2pi_MHz = 3"),
+    ("\n[cavity]\nlength_um = 1e-320\n", "fsr_ghz",  # 2 n_g L underflows to 0 m
+     "length_um = 9.99989e-321, n_group = 3.5"),
+    ("\n[atom]\ngamma_half_MHz = 1e-320\n", "cooperativity",  # printed C=inf, exit 0
+     "enhancement = 1, g_over_2pi_MHz = 119.024, kappa_over_2pi_GHz = 1.40419, "
+     "gamma_over_2pi_MHz = 9.99989e-321"),
+    ("\n[atom]\ntransition_wavelength_nm = 1e-320\n", "g_over_2pi_MHz",  # omega = x / 0
+     "dipole_Cm = 3.584e-29, transition_wavelength_nm = 9.99989e-321, mode_area_um2 = 9.9, "
+     "cavity_length_um = 300"),
 ], ids=["overflow", "zero-division", "gamma-underflow", "wavelength-underflow"])
-def test_cli_budget_extreme_value_is_a_validation_error(tmp_path, capsys, block, quantity):
+def test_cli_budget_extreme_value_is_a_validation_error(tmp_path, capsys, block, quantity,
+                                                       inputs):
     # finite values in their domains that push a result out of float range:
-    # the error names that result instead of printing errno text
+    # the error names that result and the inputs it came from, instead of
+    # printing errno text
     cfg = write_config(tmp_path, BASE_WAVEGUIDE + BUDGET_BLOCK + block)
     code, out, err = run_cli(capsys, "budget", cfg, "--no-gap", "--out", str(tmp_path))
     assert code == 2
-    assert err == f"error: {quantity} must be finite, got inf\n"
+    assert err == f"error: {quantity} must be finite, got inf, from {inputs}\n"
     assert out == ""
 
 
@@ -653,6 +662,26 @@ def test_cli_budget_propagation_underflow_names_its_keys(tmp_path, capsys, line,
     assert err == (f"error: exp(-alpha l) underflows to 0 at alpha_per_cm = {alpha}, "
                    f"length_um = {length}\n")
     assert out == ""
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("atom", "dipole_Cm", "1e300"), ("atom", "transition_wavelength_nm", "1e-300"),
+    ("cavity", "length_um", "1e-300"), ("cavity", "n_group", "1e-300"),
+    ("budget", "enhancement", "1e300"), ("mirror", "n_high", "1e300"),
+    ("mirror", "n_low", "1e300"), ("gap", "n_interface", "1e300"),
+    ("gap", "series_tolerance", "1e-300"),
+])
+def test_cli_error_from_a_derived_figure_names_the_key_behind_it(tmp_path, capsys, block, key,
+                                                                 value):
+    # each of these finite, in-domain settings pushes a derived figure (g,
+    # the FSR, C, the mirror stack's reflectivity, the series' term count)
+    # out of range; the one error line names the figure and the key it came from
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", REFERENCE_CFG.read_text(), flags=re.M)
+    text = text.replace("nx = 256", "nx = 32").replace("ny = 256", "ny = 32")
+    code, out, err = run_cli(capsys, "budget", write_config(tmp_path, text))
+    assert code == (4 if block == "gap" else 2)
+    assert out == "" and err.count("\n") == 1
+    assert re.search(r"(?<!\w)" + re.escape(f"{key} = {float(value):g}"), err), err
 
 
 def test_cli_budget_reruns_are_byte_identical(tmp_path, capsys):

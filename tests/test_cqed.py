@@ -164,14 +164,23 @@ def test_cooperativity_argument_guards():
         cooperativity(120.0, 4.8, 3.0, enhancement=0.5)
 
 
-@pytest.mark.parametrize("quantity, call", [
-    pytest.param("cooperativity", lambda: cooperativity(1e200, 4.8, 3.0), id="C-g-squared"),
-    pytest.param("cooperativity", lambda: cooperativity(120.0, 1e-320, 1e-320), id="C-kappa-gamma"),
-    pytest.param("g_over_2pi_MHz", lambda: coupling_g_MHz(1e-300, 300.0, RB), id="g-volume"),
-    pytest.param("fsr_ghz", lambda: free_spectral_range_ghz(1e-320, 3.5), id="fsr-length"),
+@pytest.mark.parametrize("quantity, call, inputs", [
+    pytest.param("cooperativity", lambda: cooperativity(1e200, 4.8, 3.0),
+                 "enhancement = 1, g_over_2pi_MHz = 1e+200, kappa_over_2pi_GHz = 4.8, "
+                 "gamma_over_2pi_MHz = 3", id="C-g-squared"),
+    pytest.param("cooperativity", lambda: cooperativity(120.0, 1e-320, 1e-320),
+                 "enhancement = 1, g_over_2pi_MHz = 120, kappa_over_2pi_GHz = 9.99989e-321, "
+                 "gamma_over_2pi_MHz = 9.99989e-321", id="C-kappa-gamma"),
+    pytest.param("g_over_2pi_MHz", lambda: coupling_g_MHz(1e-300, 300.0, RB),
+                 "dipole_Cm = 3.584e-29, transition_wavelength_nm = 780, mode_area_um2 = 1e-300, "
+                 "cavity_length_um = 300", id="g-volume"),
+    pytest.param("fsr_ghz", lambda: free_spectral_range_ghz(1e-320, 3.5),
+                 "length_um = 9.99989e-321, n_group = 3.5", id="fsr-length"),
 ])
-def test_result_out_of_float_range_names_the_quantity(quantity, call):
+def test_result_out_of_float_range_names_the_quantity(quantity, call, inputs):
     # finite inputs in their domains whose result overflows or divides by an
-    # underflowed 0: the error names the result instead of the errno text
-    with pytest.raises(ValueError, match=rf"^{quantity} must be finite, got inf$"):
+    # underflowed 0: the error names the result and the inputs it came from,
+    # instead of the errno text
+    with pytest.raises(ValueError) as info:
         call()
+    assert str(info.value) == f"{quantity} must be finite, got inf, from {inputs}"

@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from ridgecav import GridSpec, SampledField, load_field_csv, save_field_csv
+from ridgecav import GapConfig, GridSpec, SampledField, load_field_csv, save_field_csv
+from ridgecav import brute_force_gap_scattering, field_enhancement, gap_scattering
 from ridgecav.fields import _write_lines, field_to_csv_rows
+from conftest import assert_read_only, make_gaussian
 
 
 def test_gridspec_rejects_non_power_of_two():
@@ -39,6 +41,36 @@ def test_zero_field_cannot_be_normalized():
     f = SampledField(np.zeros((16, 16)), dx_um=0.5, dy_um=0.5)
     with pytest.raises(ValueError):
         f.normalized()
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["gaussian", "csv"])
+def test_a_field_and_what_it_keeps_are_read_only(tmp_path, loaded):
+    f = make_gaussian(2.0, nx=64)
+    if loaded:
+        save_field_csv(f, tmp_path / "field.csv")
+        f = load_field_csv(tmp_path / "field.csv", wavelength_nm=780.0)
+    assert_read_only(f)
+
+
+def test_a_field_copies_the_callers_array():
+    # writing the caller's array afterwards changes neither the field nor
+    # what it keeps: each result equals a fresh field's
+    g = make_gaussian(2.0, nx=64)
+    amps = np.array(g.amplitudes)
+    f = SampledField(amps, g.dx_um, g.dy_um, g.wavelength_nm)
+    cfg = GapConfig(d_um=1.96)
+
+    def results(field, cfg):
+        return (gap_scattering(field, cfg), field_enhancement(field, cfg, 0.7),
+                brute_force_gap_scattering(field, cfg, n_bounces=24))
+
+    before = results(f, cfg)
+    amps *= 2.0
+    amps[0, 0] = 1.0
+    assert f.amplitudes.tobytes() == g.amplitudes.tobytes()
+    fresh = SampledField(g.amplitudes, g.dx_um, g.dy_um, g.wavelength_nm)
+    assert results(f, cfg) == before
+    assert results(f, GapConfig(d_um=1.96)) == results(fresh, cfg) == before
 
 
 @pytest.mark.parametrize("shape", [(16,), (4, 4, 4)], ids=["1-D", "3-D"])

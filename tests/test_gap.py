@@ -23,10 +23,9 @@ from ridgecav import (
     round_trip_phase_scan,
     solve_fundamental_mode,
 )
-from ridgecav import gap as gap_module, propagation, waveguide
+from ridgecav import gap as gap_module
 from ridgecav.fields import SampledField
 from ridgecav.gap import _bounce_sums, _interface, _num_terms, _series
-from ridgecav.propagation import _band, _spectrum
 from conftest import GRID, RIDGE, make_gaussian, q_factors
 
 # the default GapConfig's interface fields, as _interface takes them
@@ -485,7 +484,7 @@ def test_measured_window_convergence_of_the_gap_model(ridge_mode):
     for k, (loss, r_rt, dropped) in zip((1, 2, 4), measured):
         f = _zero_padded(ridge_mode.field, k)
         assert _constructive_figures(f) == pytest.approx((loss, r_rt), rel=1e-6)
-        assert 1.0 - _spectrum(f, _band(f))[1].sum() == pytest.approx(dropped, abs=1e-7)
+        assert 1.0 - f.spectrum[1].sum() == pytest.approx(dropped, abs=1e-7)
 
 
 def test_brute_force_bounce_agreement(ridge_mode):
@@ -579,7 +578,7 @@ def test_bounces_on_a_band_grid_that_does_not_divide_the_field_grid(d_um):
     # band grid, and 2n = 160 is no multiple of 64, so the negative
     # frequencies land in their place (index i - n) only if placed right
     f = _offset_gaussian((80, 80, 24.0, 24.0), 2.0, (0.7, -0.4), 780.0)
-    (ix, iy), *_ = _band(f)
+    (ix, iy), *_ = f.band
     assert ix.size == iy.size == 61
     cfg = GapConfig(d_um=d_um)
     brute = brute_force_gap_scattering(f, cfg, n_bounces=24)
@@ -633,8 +632,9 @@ def test_spectrum_takes_one_1d_pass_per_axis_and_no_full_grid_transform(ridge_mo
                                                                          monkeypatch):
     # the band transform along y (all 256 columns), then along x on the 61
     # band columns; the total comes from Parseval's theorem, not from an fft2
+    f = replace(ridge_mode.field)  # a copy that has kept nothing
     calls = _spy_on_ffts(monkeypatch)
-    _spectrum(ridge_mode.field, _band(ridge_mode.field))
+    f.spectrum
     assert calls == [("fft", (256, 256), 1), ("fft", (256, 61), 0)]
 
 
@@ -664,9 +664,9 @@ def test_band_box_spectrum_and_transfer_equal_the_full_grid_construction(ridge_m
         weights = np.abs(full) ** 2
         total = f.nx * f.ny * np.sum(np.abs(f.amplitudes) ** 2)
         kz_distinct, which = np.unique(kz[mask], return_inverse=True)
-        band = (ix, iy), _, _, amplitudes = _band(f)
+        (ix, iy), _, _, amplitudes = f.band
         assert np.array_equal(amplitudes, full[np.ix_(ix, iy)])
-        kz_box, w_box = _spectrum(f, band)
+        kz_box, w_box = f.spectrum
         assert np.array_equal(kz_box, kz_distinct)
         assert np.array_equal(w_box, np.bincount(which, weights=weights[mask]) / total)
         for d_um in (0.0, 1.96, 7.3):
@@ -880,7 +880,8 @@ def test_gap_config_validation():
 
 
 def test_solved_mode_and_its_profile_give_identical_results(ridge_mode):
-    # the band and spectrum a solved mode keeps are exactly the ones its profile yields
+    # a mode and a bare copy of its profile, neither of which has kept
+    # anything, go through the same code on the field
     cfg = GapConfig(d_um=1.96)
 
     def results(mode):
@@ -889,23 +890,33 @@ def test_solved_mode_and_its_profile_give_identical_results(ridge_mode):
                 rrt.tolist(), composite_round_trip(mode, cfg, 0.7),
                 field_enhancement(mode, cfg, 0.7), brute_force_gap_scattering(mode, cfg, 48))
 
-    assert results(ridge_mode) == results(ridge_mode.field)
+    assert results(_unsolved_copy(ridge_mode)) == results(replace(ridge_mode.field))
 
 
 @pytest.mark.parametrize("bounce_first", [False, True])
-def test_fresh_solved_mode_builds_its_spectrum_once(ridge_mode, monkeypatch, bounce_first):
-    # the series and the bounce check share the mode's one band transform,
-    # one 1-D pass along y and one along x, whichever of them runs first
-    builds = []
+@pytest.mark.parametrize("solved", [True, False], ids=["mode", "gaussian"])
+def test_fresh_field_takes_one_band_transform_and_one_power_sum(ridge_mode, monkeypatch,
+                                                                solved, bounce_first):
+    # every gap function and the free-space step share the field's one band
+    # transform, one 1-D pass along y and one along x, and the series and the
+    # bounce check share its one sum of |a|^2, whichever of them runs first
+    mode = _unsolved_copy(ridge_mode) if solved else make_gaussian(2.0)
+    f = mode.field if solved else mode
+    builds, sums = [], []
+    spectrum, np_sum = SampledField.spectrum.func, np.sum
 
-    def counting(*args):
-        builds.append(args)
-        return _spectrum(*args)
+    def counting(field):
+        builds.append(field)
+        return spectrum(field)
 
-    for module in (propagation, waveguide, gap_module):
-        monkeypatch.setattr(module, "_spectrum", counting)
+    def summing(a, *args, **kwargs):
+        if a.shape == f.amplitudes.shape:
+            sums.append(a.shape)
+        return np_sum(a, *args, **kwargs)
+
+    monkeypatch.setattr(SampledField.spectrum, "func", counting)
+    monkeypatch.setattr(np, "sum", summing)
     calls = _spy_on_ffts(monkeypatch)
-    mode = _unsolved_copy(ridge_mode)
     cfg = GapConfig(d_um=1.96)
     if bounce_first:
         brute_force_gap_scattering(mode, cfg, n_bounces=48)
@@ -914,18 +925,20 @@ def test_fresh_solved_mode_builds_its_spectrum_once(ridge_mode, monkeypatch, bou
     field_enhancement(mode, cfg, 0.7)
     gap_scattering(mode, cfg)
     brute_force_gap_scattering(mode, cfg, n_bounces=48)
-    assert len(builds) == 1
+    for d_um in (0.5, 1.96):
+        propagate_free_space(f, d_um)
+    assert builds == [f] and len(sums) == 1
     one_d = [(shape, axis) for name, shape, axis in calls if name == "fft"]
     assert one_d == [((256, 256), 1), ((256, 61), 0)]
 
 
 def _unsolved_copy(mode):
-    """A ModeSolution of the same profile that has kept nothing yet."""
-    return ModeSolution(mode.field, mode.n_eff, mode.mode_area_um2)
+    """A ModeSolution of a copy of the profile, which has kept nothing yet."""
+    return ModeSolution(replace(mode.field), mode.n_eff, mode.mode_area_um2)
 
 
 def test_calls_after_a_phase_scan_equal_cold_calls(ridge_mode):
-    # the scan's evaluation is kept on the mode and reused by the calls after it
+    # the scan's evaluation is kept on the field and reused by the calls after it
     for d_um in (0.0, 0.3, 1.96, 2.73):
         cfg = GapConfig(d_um=d_um)
         warm = _unsolved_copy(ridge_mode)
@@ -941,31 +954,31 @@ def test_calls_after_a_phase_scan_equal_cold_calls(ridge_mode):
 
 def test_one_series_evaluation_per_mode_and_config_object(ridge_mode, monkeypatch):
     mode, cfg = _unsolved_copy(ridge_mode), GapConfig(d_um=1.96)
-    evaluated = []  # (input, width) of each series evaluation on mode or its bare field
+    evaluated = []  # the width of each series evaluation on the mode's field
     series_at = gap_module._series_at
 
-    def counting(m, c, d_um):
-        if m is mode or m is mode.field:
-            evaluated.append(("mode" if m is mode else "field", d_um))
-        return series_at(m, c, d_um)
+    def counting(f, c, d_um):
+        if f is mode.field:
+            evaluated.append(d_um)
+        return series_at(f, c, d_um)
 
     monkeypatch.setattr(gap_module, "_series_at", counting)
     round_trip_phase_scan(mode, cfg, 360)
     field_enhancement(mode, cfg, 0.7)
     composite_round_trip(mode, cfg, 0.7)
     kept = gap_scattering(mode, cfg)
-    assert evaluated == [("mode", 1.96)]
-    assert gap_scattering(mode, cfg) is kept
-    # an equal but distinct config, another width and a bare field are each
-    # evaluated anew, and give what a mode that has kept nothing gives
+    assert evaluated == [1.96]
+    # the mode and its bare field share the evaluation the field keeps
+    assert gap_scattering(mode, cfg) is kept and gap_scattering(mode.field, cfg) is kept
+    # an equal but distinct config and another width are each evaluated anew,
+    # and give what a field that has kept nothing gives
     evaluated.clear()
-    for m, c in ((mode, GapConfig(d_um=1.96)), (mode, GapConfig(d_um=0.7)), (mode, cfg),
+    for m, c in ((mode, GapConfig(d_um=1.96)), (mode.field, GapConfig(d_um=0.7)), (mode, cfg),
                  (mode.field, cfg)):
         assert gap_scattering(m, c) == gap_scattering(_unsolved_copy(ridge_mode), c)
         assert field_enhancement(m, c, 0.7) == field_enhancement(_unsolved_copy(ridge_mode), c, 0.7)
-    assert evaluated == [("mode", 1.96), ("mode", 0.7), ("mode", 1.96),
-                         ("field", 1.96), ("field", 1.96)]
-    assert "_gap_result" not in vars(mode.field)
+    assert evaluated == [1.96, 0.7, 1.96]
+    assert "_gap_result" in vars(mode.field) and "_gap_result" not in vars(mode)
 
 
 def test_a_call_that_raises_keeps_nothing(ridge_mode):
@@ -975,7 +988,7 @@ def test_a_call_that_raises_keeps_nothing(ridge_mode):
             gap_scattering(mode, GapConfig(d_um=1.0, p_max=3, series_tolerance=1e-10))
     with pytest.raises(ValueError, match="k0 d"):
         gap_scattering(mode, GapConfig(d_um=1e308))
-    assert "_gap_result" not in vars(mode)
+    assert "_gap_result" not in vars(mode.field)
     kept = gap_scattering(mode, cfg)
     # raised after the bounce sums were formed: the earlier evaluation stays
     with pytest.raises(SeriesNotConverged, match="series_tolerance"):
