@@ -10,13 +10,12 @@ Jacobian.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import C_M_PER_S
-from .errors import FitDiverged, check_fields, check_value, fed_by
+from .errors import FitDiverged, check_fields, check_value, derived
 
 
 @dataclass(frozen=True)
@@ -97,15 +96,8 @@ def free_spectral_range_ghz(length_um: float, n_group: float) -> float:
     """FSR = c / (2 n_g L) in GHz."""
     check_value("length_um", length_um, gt=0)
     check_value("n_group", n_group, gt=0)
-    try:
-        fsr = C_M_PER_S / (2.0 * n_group * length_um * 1e-6) / 1e9
-    except ZeroDivisionError:  # the round trip underflowed to 0 m
-        fsr = math.inf
-    try:
-        check_value("fsr_ghz", fsr)
-    except ValueError as exc:
-        raise ValueError(str(exc) + fed_by(length_um=length_um, n_group=n_group)) from None
-    return fsr
+    return derived("fsr_ghz", lambda: C_M_PER_S / (2.0 * n_group * length_um * 1e-6) / 1e9,
+                   length_um=length_um, n_group=n_group)
 
 
 def linewidth_ghz(finesse: float, fsr_ghz: float) -> float:

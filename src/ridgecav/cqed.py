@@ -23,7 +23,7 @@ from .cavity import (
     linewidth_ghz,
     round_trip_amplitude,
 )
-from .errors import check_fields, check_value, fed_by
+from .errors import check_fields, check_value, derived
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,15 @@ def coupling_g_MHz(mode_area_um2: float, cavity_length_um: float,
     check_value("mode_area_um2", mode_area_um2, gt=0)
     check_value("cavity_length_um", cavity_length_um, gt=0)
     volume_m3 = mode_area_um2 * 1e-12 * cavity_length_um * 1e-6
-    try:
+
+    def g_mhz():
         omega = 2.0 * math.pi * C_M_PER_S / (atom.transition_wavelength_nm * 1e-9)
         e_field = math.sqrt(HBAR_J_S * omega / (2.0 * EPS0_F_PER_M * volume_m3))
-    except ZeroDivisionError:  # the wavelength or the mode volume underflowed to 0
-        e_field = math.inf
-    g_mhz = atom.dipole_Cm * e_field / HBAR_J_S / (2.0 * math.pi) / 1e6
-    try:
-        check_value("g_over_2pi_MHz", g_mhz)
-    except ValueError as exc:
-        raise ValueError(str(exc) + fed_by(
-            dipole_Cm=atom.dipole_Cm, transition_wavelength_nm=atom.transition_wavelength_nm,
-            mode_area_um2=mode_area_um2, cavity_length_um=cavity_length_um)) from None
-    return g_mhz
+        return atom.dipole_Cm * e_field / HBAR_J_S / (2.0 * math.pi) / 1e6
+
+    return derived("g_over_2pi_MHz", g_mhz, dipole_Cm=atom.dipole_Cm,
+                   transition_wavelength_nm=atom.transition_wavelength_nm,
+                   mode_area_um2=mode_area_um2, cavity_length_um=cavity_length_um)
 
 
 def cooperativity(g_over_2pi_MHz: float, kappa_over_2pi_GHz: float,
@@ -84,18 +80,9 @@ def cooperativity(g_over_2pi_MHz: float, kappa_over_2pi_GHz: float,
     g_hz = g_over_2pi_MHz * 1e6
     kappa_hz = kappa_over_2pi_GHz * 1e9
     gamma_hz = gamma_over_2pi_MHz * 1e6
-    try:
-        coop = enhancement * g_hz**2 / (kappa_hz * gamma_hz)
-    except ArithmeticError:  # g_hz**2 overflowed, or kappa_hz * gamma_hz underflowed to 0
-        coop = math.inf
-    try:
-        check_value("cooperativity", coop)
-    except ValueError as exc:
-        raise ValueError(str(exc) + fed_by(
-            enhancement=enhancement, g_over_2pi_MHz=g_over_2pi_MHz,
-            kappa_over_2pi_GHz=kappa_over_2pi_GHz,
-            gamma_over_2pi_MHz=gamma_over_2pi_MHz)) from None
-    return coop
+    return derived("cooperativity", lambda: enhancement * g_hz**2 / (kappa_hz * gamma_hz),
+                   enhancement=enhancement, g_over_2pi_MHz=g_over_2pi_MHz,
+                   kappa_over_2pi_GHz=kappa_over_2pi_GHz, gamma_over_2pi_MHz=gamma_over_2pi_MHz)
 
 
 def full_budget(area: float, spec: CavitySpec, gap_amplitude: float | None,

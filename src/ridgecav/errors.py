@@ -40,6 +40,22 @@ def fed_by(**inputs) -> str:
     return ", from " + ", ".join(f"{name} = {value:g}" for name, value in inputs.items())
 
 
+def derived(name, compute, **inputs) -> float:
+    """compute(), a figure derived from `inputs`, which must come out finite.
+
+    A Python ArithmeticError (a divisor that underflowed to 0, a `**` that
+    overflowed) reads as inf.  A result that is not finite fails as `<name>
+    must be finite, got <value>, from <input> = <value>, ...` (`fed_by`).
+    """
+    try:
+        value = compute()
+    except ArithmeticError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}" + fed_by(**inputs))
+    return value
+
+
 @lru_cache(maxsize=None)
 def _field_rules(cls):
     """(name, integer, gt, ge, lt, le) of each field of a dataclass, built once per class."""

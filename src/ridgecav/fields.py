@@ -113,7 +113,7 @@ def _spectrum(f: SampledField):
     return kz_distinct, w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledField:
     """Complex scalar field sampled on a uniform transverse grid.
 
@@ -121,6 +121,7 @@ class SampledField:
     integral of |E|^2 over the window.  A field owns a read-only copy of its
     amplitudes, so what it keeps cannot go stale: `band`, `spectrum` and its
     power sum, each built on first use, and the gap model's last evaluation.
+    So a field equals only itself, and hashes by identity.
     """
 
     amplitudes: np.ndarray = field(repr=False)

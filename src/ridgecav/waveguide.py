@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EigensolveFailed, NoGuidedMode, check_fields, check_value
+from .errors import EigensolveFailed, NoGuidedMode, check_fields, check_value, fed_by
 from .fields import GridSpec, SampledField, _wavenumber_per_um
 
 BOUNDARY_DECAY_LIMIT = 1e-3
@@ -293,7 +293,9 @@ def solve_fundamental_mode(geometry: WaveguideGeometry, grid: GridSpec) -> ModeS
     if not sigma * np.finfo(float).eps <= _SHIFT_ROUNDING * stencil:
         raise ValueError(f"wavelength_nm = {geometry.wavelength_nm:g} is too short for this grid: "
                          f"k0^2 n_core^2 = {sigma:.3g} per um^2 rounds away more than "
-                         f"{_SHIFT_ROUNDING:g} of the stencil's 1/d^2 = {stencil:.3g} per um^2")
+                         f"{_SHIFT_ROUNDING:g} of the stencil's 1/d^2 = {stencil:.3g} per um^2"
+                         + fed_by(window_x_um=grid.window_x_um, nx=grid.nx,
+                                  window_y_um=grid.window_y_um, ny=grid.ny))
     try:
         shift, solve, start, to_grid = _shift_invert(geometry, grid, sigma)
         theta, vec = _lanczos(solve, start)

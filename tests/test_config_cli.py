@@ -290,6 +290,16 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert run_python("import sys, ridgecav.cli; " + LIST_SCIPY).strip() == ""
 
 
+def test_cli_import_loads_no_scipy_json_or_logging():
+    # every CLI command pays this import, so it loads neither SciPy nor the
+    # json and logging a run report would need; modules the interpreter's
+    # site hooks loaded before it are not counted
+    loaded = run_python("import sys; before = set(sys.modules); import ridgecav.cli; "
+                        "print(*sorted(set(sys.modules) - before))").split()
+    assert "ridgecav.cli" in loaded
+    assert not [name for name in loaded if name.split(".")[0] in ("scipy", "json", "logging")]
+
+
 @pytest.mark.parametrize("command", ["trap", "fit", "mode", "gap-scan", "phase-scan",
                                      "budget", "budget-no-gap"])
 def test_only_mode_solving_commands_load_scipy(tmp_path, command):
@@ -866,6 +876,11 @@ FUZZ_ARGV = (["mode"], ["gap-scan"], ["gap-scan", "--phase-scan"], ["trap"], ["b
              ["budget", "--no-gap"])
 EXTREMES = ("0", "-1", "5e-324", "1e-300", "1e-9", "1e-3", "0.5", "2", "1e3", "1e9", "1e300",
             "1.7e308")
+# what a failing run may name in place of an overridden key: a derived figure
+# (README, "Errors follow one rule") or a solver result that names the physics
+DERIVED_AND_SOLVER = ("g_over_2pi_MHz", "fsr_ghz", "cooperativity", "mirror stack reflectivity",
+                      "term weight", "no propagating solution", "cladding index",
+                      "leaves less than")
 
 
 @given(
@@ -879,7 +894,8 @@ EXTREMES = ("0", "-1", "5e-324", "1e-300", "1e-9", "1e-3", "0.5", "2", "1e3", "1
 def test_cli_extreme_settings_exit_cleanly(argv, overrides):
     # one to three keys at extreme values, on a 32^2 grid: every run ends in a
     # documented exit code with no traceback, and a run that exits 0 writes no
-    # NaN or inf, except the infinite finesse and C of a divergent budget
+    # NaN or inf, except the infinite finesse and C of a divergent budget; a
+    # run that fails prints nothing, writes no CSV and names its cause
     blocks = {"waveguide": BASE_WAVEGUIDE.split("\n", 1)[1], "grid": "nx = 32\nny = 32\n",
               "trap": TRAP_BLOCK.split("\n", 2)[2]}
     for (block, key), value in overrides:
@@ -891,12 +907,17 @@ def test_cli_extreme_settings_exit_cleanly(argv, overrides):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([argv[0], cfg, *argv[1:], "--out", tmp])
-        written = out.getvalue() + "".join(p.read_text() for p in pathlib.Path(tmp).glob("*.csv"))
+        csvs = list(pathlib.Path(tmp).glob("*.csv"))
+        written = out.getvalue() + "".join(p.read_text() for p in csvs)
     assert code in (0, 2, 3, 4, 5)
     assert "Traceback" not in err.getvalue()
     if code == 0:
         divergent = argv[0] == "budget" and "divergent=true" in written
         assert not re.search(r"nan" if divergent else r"nan|inf", written, flags=re.I)
+    else:
+        assert out.getvalue() == "" and not csvs
+        names = [key for (_, key), _ in overrides] + list(DERIVED_AND_SOLVER)
+        assert any(name in err.getvalue() for name in names), err.getvalue()
 
 
 def test_shipped_reference_config_loads():

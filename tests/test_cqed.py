@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ridgecav import (
@@ -13,6 +14,7 @@ from ridgecav import (
     linewidth_ghz,
     round_trip_amplitude,
 )
+from ridgecav.constants import C_M_PER_S, EPS0_F_PER_M, HBAR_J_S
 
 RB = AtomParams()  # D2-line defaults
 
@@ -176,6 +178,15 @@ def test_cooperativity_argument_guards():
                  "cavity_length_um = 300", id="g-volume"),
     pytest.param("fsr_ghz", lambda: free_spectral_range_ghz(1e-320, 3.5),
                  "length_um = 9.99989e-321, n_group = 3.5", id="fsr-length"),
+    pytest.param("fsr_ghz", lambda: free_spectral_range_ghz(1e-320, 1e-10),
+                 "length_um = 9.99989e-321, n_group = 1e-10", id="fsr-round-trip"),
+    pytest.param("cooperativity", lambda: cooperativity(1e300, 1e-300, 1e-300),
+                 "enhancement = 1, g_over_2pi_MHz = 1e+300, kappa_over_2pi_GHz = 1e-300, "
+                 "gamma_over_2pi_MHz = 1e-300", id="C-both"),
+    pytest.param("g_over_2pi_MHz",
+                 lambda: coupling_g_MHz(1e-300, 1e-300, AtomParams(dipole_Cm=1e300)),
+                 "dipole_Cm = 1e+300, transition_wavelength_nm = 780, mode_area_um2 = 1e-300, "
+                 "cavity_length_um = 1e-300", id="g-dipole-volume"),
 ])
 def test_result_out_of_float_range_names_the_quantity(quantity, call, inputs):
     # finite inputs in their domains whose result overflows or divides by an
@@ -184,3 +195,33 @@ def test_result_out_of_float_range_names_the_quantity(quantity, call, inputs):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == f"{quantity} must be finite, got inf, from {inputs}"
+
+
+def _g_formula(area_um2, length_um, dipole_Cm, wavelength_nm):
+    volume_m3 = area_um2 * 1e-12 * length_um * 1e-6
+    omega = 2.0 * math.pi * C_M_PER_S / (wavelength_nm * 1e-9)
+    e_field = math.sqrt(HBAR_J_S * omega / (2.0 * EPS0_F_PER_M * volume_m3))
+    return dipole_Cm * e_field / HBAR_J_S / (2.0 * math.pi) / 1e6
+
+
+@pytest.mark.parametrize("call, formula, log10_ranges", [
+    pytest.param(free_spectral_range_ghz,
+                 lambda length_um, n_group: C_M_PER_S / (2.0 * n_group * length_um * 1e-6) / 1e9,
+                 [(-3, 6), (0, 0.7)], id="fsr"),
+    pytest.param(lambda area, length, dipole_Cm, transition_wavelength_nm: coupling_g_MHz(
+                     area, length, AtomParams(dipole_Cm=dipole_Cm,
+                                              transition_wavelength_nm=transition_wavelength_nm)),
+                 _g_formula, [(-2, 4), (0, 5), (-31, -27), (2, 3.3)], id="g"),
+    pytest.param(cooperativity,
+                 lambda g, kappa, gamma, enhancement:
+                     enhancement * (g * 1e6)**2 / ((kappa * 1e9) * (gamma * 1e6)),
+                 [(-2, 4), (-3, 3), (-1, 2), (0, 1.3)], id="C"),
+])
+def test_derived_figures_keep_their_operation_order(call, formula, log10_ranges):
+    # each figure equals (==) its formula written out in the library's
+    # operation order, on seeded log-uniform draws inside float range: a
+    # reordered product or quotient moves the last bit on some of them
+    lows, highs = zip(*log10_ranges)
+    draws = (10.0 ** np.random.default_rng(38).uniform(lows, highs, (2000, len(lows)))).tolist()
+    mismatched = [args for args in draws if call(*args) != formula(*args)]
+    assert not mismatched

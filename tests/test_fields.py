@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,17 @@ def test_a_field_copies_the_callers_array():
     fresh = SampledField(g.amplitudes, g.dx_um, g.dy_um, g.wavelength_nm)
     assert results(f, cfg) == before
     assert results(f, GapConfig(d_um=1.96)) == results(fresh, cfg) == before
+
+
+def test_a_field_equals_only_itself_and_hashes_by_identity(ridge_mode):
+    # each field owns its own copy of the amplitudes, so two fields are never
+    # the same object's data; comparing or hashing one must not touch the array
+    f = make_gaussian(2.0, nx=16)
+    assert f == f
+    assert not replace(f) == f
+    assert len({f, replace(f), ridge_mode.field}) == 3
+    assert ridge_mode == replace(ridge_mode)
+    assert hash(ridge_mode) == hash(replace(ridge_mode))
 
 
 @pytest.mark.parametrize("shape", [(16,), (4, 4, 4)], ids=["1-D", "3-D"])
